@@ -223,8 +223,9 @@ impl AdminState {
 }
 
 /// The admin actor: owns a non-blocking [`TcpListener`] and polls accepts
-/// from its timer, so it coexists with the one-thread-per-actor runtime
-/// without ever blocking the net stack.
+/// from its timer. Serving a connection can block on the socket, so it
+/// reports [`Actor::may_block`] and the threaded runtime runs it on a
+/// worker of its own, away from the data path.
 pub struct AdminActor {
     listener: TcpListener,
     state: AdminState,
@@ -846,6 +847,10 @@ impl Actor for AdminActor {
             self.poll(ctx.now());
             ctx.set_timer(T_ADMIN_POLL, POLL_MICROS);
         }
+    }
+
+    fn may_block(&self) -> bool {
+        true
     }
 }
 

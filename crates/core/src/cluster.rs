@@ -570,7 +570,7 @@ impl SimCluster {
 // Threaded cluster + synchronous client
 // ---------------------------------------------------------------------------
 
-/// A deployment running on real threads (one per actor).
+/// A deployment running on real threads (`ThreadNet`'s pinned workers).
 pub struct ThreadCluster {
     handle: ExternalHandle<SednaMsg>,
     /// The deployment layout.
@@ -721,13 +721,14 @@ impl ThreadCluster {
             .and_then(|(_, t)| t.engine())
     }
 
-    /// The flight-recorder ring for `node`'s actor thread (every actor
-    /// runs on its own named thread, so the ring labels are exact).
+    /// The flight-recorder ring of the worker thread `node`'s actor is
+    /// pinned to. A ring is per worker, not per actor: the events of the
+    /// actors co-located on that worker interleave in it.
     pub fn flight_dump(&self, node: NodeId) -> Vec<sedna_obs::flight::ThreadDump> {
-        let label = format!("sedna-actor-{}", self.config.node_actor(node).0);
+        let label = self.handle.worker_label(self.config.node_actor(node));
         sedna_obs::flight::dump()
             .into_iter()
-            .filter(|t| t.label == label)
+            .filter(|t| Some(&t.label) == label.as_ref())
             .collect()
     }
 
@@ -859,7 +860,7 @@ impl ThreadCluster {
         }
     }
 
-    /// Stops every actor thread and returns the actors for inspection.
+    /// Stops the runtime and returns the actors for inspection.
     pub fn shutdown(self) -> Vec<Box<dyn Actor<Msg = SednaMsg>>> {
         self.handle.shutdown()
     }

@@ -1470,4 +1470,11 @@ impl Actor for SednaNode {
             _ => 2,
         }
     }
+
+    /// A node that owns a persistence engine does file I/O from its
+    /// callbacks: log appends on the write path, snapshots with `sync_all`
+    /// from its timer.
+    fn may_block(&self) -> bool {
+        self.persist.is_some()
+    }
 }

@@ -1,6 +1,6 @@
 //! The same deployment on real threads: smoke tests for the examples path.
 
-use sedna_common::{Key, KeyPath, Value};
+use sedna_common::{Key, KeyPath, NodeId, Value};
 use sedna_core::cluster::ThreadCluster;
 use sedna_core::config::ClusterConfig;
 use sedna_core::messages::ClientResult;
@@ -21,6 +21,28 @@ fn threaded_write_read_roundtrip() {
         cluster.read_latest(&Key::from("nope")),
         ClientResult::Latest(None)
     );
+    cluster.shutdown();
+}
+
+#[test]
+fn flight_dump_finds_the_ring_of_a_nodes_worker() {
+    let cluster = ThreadCluster::start(ClusterConfig::small());
+    for i in 0..20 {
+        let key = Key::from(format!("flight-{i}").as_str());
+        assert_eq!(
+            cluster.write_latest(&key, Value::from("v")),
+            ClientResult::Ok
+        );
+    }
+    // Every write pins and retires in each replica's store, on the thread
+    // that runs that node.
+    for n in 0..cluster.config.data_nodes as u32 {
+        let dump = cluster.flight_dump(NodeId(n));
+        assert!(
+            dump.iter().any(|ring| !ring.events.is_empty()),
+            "no flight events for node {n}: {dump:?}"
+        );
+    }
     cluster.shutdown();
 }
 

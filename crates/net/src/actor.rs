@@ -136,6 +136,15 @@ pub trait Actor: AsAny + Send {
         let _ = msg;
         0
     }
+
+    /// Whether a callback of this actor may block its OS thread (socket
+    /// I/O, `fsync`, …) despite the rule above. The threaded runtime gives
+    /// such an actor a worker thread of its own, so its stalls are not
+    /// shared with the compute actors pinned to the per-core workers; the
+    /// simulator ignores it. Asked once, when the runtime starts.
+    fn may_block(&self) -> bool {
+        false
+    }
 }
 
 /// A timer operation, kept in issue order so a `set` followed by a

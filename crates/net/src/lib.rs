@@ -15,9 +15,10 @@
 //!   CPU queue. All randomness derives from one seed, so an experiment run
 //!   is reproducible bit-for-bit. The benchmark harness regenerates the
 //!   paper's figures on this runtime.
-//! * [`threaded::ThreadNet`] — a real multi-threaded in-process transport
-//!   over crossbeam channels, used by the examples and by tests that need
-//!   genuine concurrency.
+//! * [`threaded::ThreadNet`] — a real multi-threaded in-process transport:
+//!   one worker thread per core with the actors pinned to them, used by the
+//!   examples, the end-to-end benchmark and tests that need genuine
+//!   concurrency.
 //!
 //! Because both runtimes drive the *same* actor code, anything validated
 //! deterministically in the simulator is the same logic that runs under real
