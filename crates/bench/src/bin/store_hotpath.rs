@@ -1,29 +1,28 @@
-//! Store hot-path benchmark: lock-free reads vs the pre-overhaul
-//! mutex-per-shard engine, plus an allocation-count ablation.
+//! Store hot-path benchmark: lock-free reads under contention, plus an
+//! allocation count.
 //!
 //! Two measurements, written to `BENCH_store.json`:
 //!
-//! * **Contended single-key reads** — T threads hammer one hot key.
-//!   The baseline reimplements the seed engine's read path (per-shard
-//!   `Mutex<HashMap>`, deep-clone `read_all`); the store under test is
-//!   the epoch-pinned lock-free path. Readers that never block should
-//!   scale where the mutex serializes.
-//! * **Allocation ablation** — a counting global allocator measures heap
+//! * **Contended single-key reads** — T threads hammer one hot key
+//!   through the epoch-pinned lock-free path. Readers never block, so
+//!   aggregate throughput must not collapse as threads are added.
+//! * **Allocation count** — a counting global allocator measures heap
 //!   allocations per read. The single-version fast path (`read_latest`
-//!   and snapshot `read_all`) must be allocation-free; the baseline's
-//!   deep-clone `read_all` pays ≥1 allocation per hit.
+//!   and snapshot `read_all`) must be allocation-free; the run fails
+//!   otherwise.
+//!
+//! The comparison against the seed's mutex-per-shard engine is a frozen
+//! PR 5 measurement: DESIGN.md §16 and that PR's `BENCH_store.json` in git.
 //!
 //! `--quick` shrinks iteration counts for CI smoke runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::Barrier;
 use std::time::Instant;
 
-use sedna_common::hashing::fnv1a64;
 use sedna_common::{Key, NodeId, Timestamp, Value};
-use sedna_memstore::{MemStore, StoreConfig, VersionedValue};
+use sedna_memstore::{MemStore, StoreConfig};
 
 // ---------------------------------------------------------------------------
 // Counting allocator
@@ -57,122 +56,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-// ---------------------------------------------------------------------------
-// Mutex baseline: the seed engine's read path
-// ---------------------------------------------------------------------------
-
-/// One row of the baseline: versions plus the seed engine's per-row LRU
-/// bookkeeping.
-#[derive(Default)]
-struct BaseEntry {
-    versions: Vec<VersionedValue>,
-    access_version: u64,
-    lru_slot: Option<u32>,
-}
-
-/// Shard state replicating the pre-overhaul engine: a `HashMap` of rows
-/// plus the lazy LRU queue every read touched under the lock.
-#[derive(Default)]
-struct BaseShard {
-    map: HashMap<Key, BaseEntry>,
-    slots: Vec<Option<Key>>,
-    free_slots: Vec<u32>,
-    lru: std::collections::VecDeque<(u32, u64)>,
-    access_counter: u64,
-}
-
-impl BaseShard {
-    /// The seed engine's LRU touch: a second map lookup, a queue push,
-    /// and periodic lazy compaction — all on the read path, under the
-    /// shard mutex.
-    fn touch(&mut self, key: &Key) {
-        self.access_counter += 1;
-        let c = self.access_counter;
-        let Some(e) = self.map.get_mut(key) else {
-            return;
-        };
-        e.access_version = c;
-        let slot = match e.lru_slot {
-            Some(s) => s,
-            None => {
-                let s = match self.free_slots.pop() {
-                    Some(s) => {
-                        self.slots[s as usize] = Some(key.clone());
-                        s
-                    }
-                    None => {
-                        self.slots.push(Some(key.clone()));
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.map.get_mut(key).expect("present above").lru_slot = Some(s);
-                s
-            }
-        };
-        self.lru.push_back((slot, c));
-        if self.lru.len() > 4 * self.map.len() + 64 {
-            let map = &self.map;
-            let slots = &self.slots;
-            self.lru.retain(|(s, v)| {
-                slots[*s as usize]
-                    .as_ref()
-                    .and_then(|k| map.get(k))
-                    .is_some_and(|e| e.access_version == *v)
-            });
-        }
-    }
-}
-
-/// Per-shard `Mutex` store replicating the pre-overhaul engine's read
-/// path: lock the shard, look the row up, deep-clone (`read_all`) or
-/// clone the freshest element (`read_latest`), and run the LRU touch.
-struct MutexBaseline {
-    shards: Vec<Mutex<BaseShard>>,
-    mask: u64,
-}
-
-impl MutexBaseline {
-    fn new(shards: usize) -> MutexBaseline {
-        let n = shards.next_power_of_two();
-        MutexBaseline {
-            shards: (0..n).map(|_| Mutex::new(BaseShard::default())).collect(),
-            mask: (n - 1) as u64,
-        }
-    }
-
-    fn shard(&self, key: &Key) -> &Mutex<BaseShard> {
-        &self.shards[(fnv1a64(key.as_bytes()) & self.mask) as usize]
-    }
-
-    fn write_latest(&self, key: &Key, ts: Timestamp, value: Value) {
-        let mut shard = self.shard(key).lock().unwrap();
-        let entry = shard.map.entry(key.clone()).or_default();
-        entry.versions = vec![VersionedValue { ts, value }];
-        shard.touch(key);
-    }
-
-    fn read_latest(&self, key: &Key) -> Option<VersionedValue> {
-        let mut shard = self.shard(key).lock().unwrap();
-        let found = shard
-            .map
-            .get(key)
-            .and_then(|e| e.versions.iter().max_by_key(|v| v.ts).cloned());
-        if found.is_some() {
-            shard.touch(key);
-        }
-        found
-    }
-
-    fn read_all(&self, key: &Key) -> Option<Vec<VersionedValue>> {
-        let mut shard = self.shard(key).lock().unwrap();
-        let found = shard.map.get(key).map(|e| e.versions.clone());
-        if found.is_some() {
-            shard.touch(key);
-        }
-        found
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Contended-read measurement
@@ -229,11 +112,9 @@ fn main() {
     let value = Value::from("x".repeat(20));
 
     let store = MemStore::new(StoreConfig::default());
-    store.write_latest(&hot, ts(1), value.clone());
-    let baseline = MutexBaseline::new(16);
-    baseline.write_latest(&hot, ts(1), value.clone());
+    store.write_latest(&hot, ts(1), value);
 
-    // ---- allocation ablation (single-threaded, quiesced) ----
+    // ---- allocation count (single-threaded, quiesced) ----
     // Warm the thread's epoch registration and drain warm-up garbage so
     // the measured loop is steady-state.
     for _ in 0..1_000 {
@@ -247,20 +128,12 @@ fn main() {
     let lf_read_all = allocs_per_op(alloc_reads, || {
         std::hint::black_box(store.read_all(&hot));
     });
-    let base_read_latest = allocs_per_op(alloc_reads, || {
-        std::hint::black_box(baseline.read_latest(&hot));
-    });
-    let base_read_all = allocs_per_op(alloc_reads, || {
-        std::hint::black_box(baseline.read_all(&hot));
-    });
 
-    println!("# store_hotpath — allocation ablation ({alloc_reads} single-version reads)");
+    println!("# store_hotpath — allocation count ({alloc_reads} single-version reads)");
     println!("{:>28} {:>12}", "path", "allocs/op");
     for (label, a) in [
         ("lockfree read_latest", lf_read_latest),
         ("lockfree read_all(snapshot)", lf_read_all),
-        ("mutex read_latest", base_read_latest),
-        ("mutex read_all(deep clone)", base_read_all),
     ] {
         println!("{label:>28} {a:>12.4}");
     }
@@ -268,51 +141,29 @@ fn main() {
     // ---- contended single-key reads ----
     println!("#");
     println!("# contended reads — every thread hammers the same key ({per_thread} reads/thread)");
-    println!(
-        "{:>8} {:>16} {:>16} {:>10}",
-        "threads", "lockfree_mops", "mutex_mops", "speedup"
-    );
-    let mut rows = Vec::new();
+    println!("{:>8} {:>16}", "threads", "lockfree_mops");
+    let mut json_rows = Vec::new();
     for &t in &thread_counts {
         let lf = run_contended(t, per_thread, &|| {
             std::hint::black_box(store.read_latest(&hot));
         });
-        let mx = run_contended(t, per_thread, &|| {
-            std::hint::black_box(baseline.read_latest(&hot));
-        });
-        let speedup = lf / mx;
-        println!("{t:>8} {lf:>16.2} {mx:>16.2} {speedup:>10.2}");
-        rows.push((t, lf, mx, speedup));
+        println!("{t:>8} {lf:>16.2}");
+        json_rows.push(format!(
+            "    {{ \"threads\": {t}, \"lockfree_mops\": {lf:.3} }}"
+        ));
     }
 
-    let json_rows: Vec<String> = rows
-        .iter()
-        .map(|(t, lf, mx, sp)| {
-            format!(
-                "    {{ \"threads\": {t}, \"lockfree_mops\": {lf:.3}, \
-                 \"mutex_mops\": {mx:.3}, \"speedup\": {sp:.3} }}"
-            )
-        })
-        .collect();
     let json = format!(
         "{{\n  \"bench\": \"store_hotpath\",\n  \"config\": {{\n    \"quick\": {quick},\n    \
          \"reads_per_thread\": {per_thread},\n    \"alloc_ablation_reads\": {alloc_reads},\n    \
          \"value_bytes\": 20,\n    \"shards\": 16\n  }},\n  \"contended_read\": [\n{}\n  ],\n  \
          \"alloc_ablation\": {{\n    \"lockfree_read_latest_allocs_per_op\": {lf_read_latest:.4},\n    \
-         \"lockfree_read_all_allocs_per_op\": {lf_read_all:.4},\n    \
-         \"mutex_read_latest_allocs_per_op\": {base_read_latest:.4},\n    \
-         \"mutex_read_all_allocs_per_op\": {base_read_all:.4}\n  }}\n}}\n",
+         \"lockfree_read_all_allocs_per_op\": {lf_read_all:.4}\n  }}\n}}\n",
         json_rows.join(",\n"),
     );
     std::fs::write("BENCH_store.json", json).expect("write BENCH_store.json");
     println!("# wrote BENCH_store.json");
 
-    let multi = rows.iter().filter(|(t, ..)| *t >= 2);
-    for (t, _, _, sp) in multi {
-        if *sp < 2.0 {
-            println!("# WARNING: speedup at {t} threads is {sp:.2}x (< 2x target)");
-        }
-    }
     assert!(
         lf_read_latest == 0.0 && lf_read_all == 0.0,
         "single-version read fast path must be allocation-free \

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! nemesis_sweep [--seeds N] [--start S]
-//!               [--profile stock|churn|broken|skewed|skewed-legacy]
+//!               [--profile stock|churn|broken|skewed|skewed-lww]
 //!               [--out DIR] [--expect-violations] [--shrink]
 //!               [--min-alert-detection PCT]
 //! ```
@@ -19,7 +19,7 @@
 //!
 //! `--min-alert-detection PCT` additionally requires the divergence or
 //! lost-write alert to have *fired* on at least `PCT`% of seeds — the
-//! observability acceptance gate for the skewed-legacy sweep, where
+//! observability acceptance gate for the skewed-lww sweep, where
 //! every seed's ground truth loses acked writes and the observatory
 //! must notice.
 
@@ -76,7 +76,7 @@ fn parse_args() -> Args {
 }
 
 /// True when the run's alert log shows the divergence observatory
-/// noticing the incident class the skewed-legacy profile manufactures.
+/// noticing the incident class the skewed-lww profile manufactures.
 fn alert_detected(report: &RunReport) -> bool {
     report.alert_log.iter().any(|t| {
         t.to == AlertPhase::Firing && (t.slo == "lost_writes" || t.slo == "divergence_age")
@@ -88,13 +88,13 @@ fn config_for(profile: &str) -> (HarnessConfig, &'static str) {
         "stock" => (HarnessConfig::stock(), "stock"),
         "churn" => (HarnessConfig::churn(), "churn"),
         "broken" => (HarnessConfig::broken(), "broken"),
-        // Heavy clock skew under dotted version vectors: must stay clean.
+        // Heavy clock skew with sibling retention: must stay clean.
         "skewed" => (HarnessConfig::skewed(), "skewed"),
-        // Same skew on the legacy timestamp resolver: run with
+        // Same skew on the `LastWriterWins` policy: run with
         // `--expect-violations` — LWW must demonstrably lose a
         // concurrent acked write on some seed.
-        "skewed-legacy" => (HarnessConfig::skewed_legacy(), "skewed_legacy"),
-        other => panic!("unknown profile {other} (stock|churn|broken|skewed|skewed-legacy)"),
+        "skewed-lww" => (HarnessConfig::skewed_lww(), "skewed_lww"),
+        other => panic!("unknown profile {other} (stock|churn|broken|skewed|skewed-lww)"),
     }
 }
 

@@ -36,7 +36,7 @@
 //!   under skew fails exactly this: it silently drops an acked
 //!   concurrent write that carried a smaller timestamp, which the
 //!   per-key newest-timestamp check ([`check_lost_writes`]) can never
-//!   see. The `skewed_legacy` harness profile demonstrates the trip.
+//!   see. The `skewed_lww` harness profile demonstrates the trip.
 //! * **Replica dot agreement** ([`check_replica_dot_agreement`]): after
 //!   quiescence, replicas must agree on entire sibling *sets*, not
 //!   merely on the freshest timestamp.
@@ -460,8 +460,8 @@ pub fn final_replica_state(
     let mut per_node: BTreeMap<Key, BTreeMap<NodeId, Timestamp>> = BTreeMap::new();
     for n in 0..cluster.config.data_nodes as u32 {
         let node = NodeId(n);
-        cluster.node(node).store().for_each(|key, versions| {
-            if let Some(freshest) = versions.iter().map(|v| v.ts).max() {
+        cluster.node(node).store().for_each_row(|key, snap| {
+            if let Some(freshest) = snap.latest().map(|v| v.ts) {
                 per_node
                     .entry(key.clone())
                     .or_default()

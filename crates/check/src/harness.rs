@@ -52,9 +52,9 @@ pub enum Profile {
     /// Stock fault envelope under *heavy* per-node clock skew, with
     /// sibling-retaining resolution, and the full dot-level check set on
     /// top of the stock checks: no-lost-concurrent-write and replica
-    /// dot-set agreement (DESIGN.md §18). Every seed must pass under
-    /// dotted version vectors; the same profile with
-    /// [`HarnessConfig::skewed_legacy`] (timestamp-LWW resolution) is
+    /// dot-set agreement (DESIGN.md §18). Every seed must pass with
+    /// sibling retention; the same profile with
+    /// [`HarnessConfig::skewed_lww`] (the last-writer-wins policy) is
     /// *expected* to trip the checker — that contrast is the consistency
     /// upgrade's proof.
     Skewed,
@@ -69,10 +69,10 @@ pub struct HarnessConfig {
     /// anti-entropy off. The mutation-sanity configuration — the checker
     /// must catch it.
     pub broken: bool,
-    /// Run the pre-DVV resolution paths (bare timestamp LWW, no causal
-    /// contexts server-side). The regression configuration the skewed
-    /// profile must catch.
-    pub legacy: bool,
+    /// Default sibling-resolution policy of every data node's store.
+    /// `LastWriterWins` under the skewed profile is the regression
+    /// configuration the dot-level checks must catch.
+    pub resolution: TablePolicy,
     /// Closed-loop workload clients.
     pub clients: u32,
     /// Shared key-space size (`k-0 … k-{keys-1}`).
@@ -93,7 +93,7 @@ impl HarnessConfig {
         HarnessConfig {
             profile: Profile::Stock,
             broken: false,
-            legacy: false,
+            resolution: TablePolicy::LastWriterWins,
             clients: 3,
             keys: 12,
             data_nodes: 5,
@@ -122,33 +122,37 @@ impl HarnessConfig {
     }
 
     /// Skewed-clock profile under dotted version vectors: stock faults,
-    /// node clocks up to ±300 ms apart, sibling-retaining resolution, a
-    /// tight key space so concurrent writes to one key are common, and
-    /// the dot-level checks armed. Must pass on every seed.
+    /// node clocks up to ±300 ms apart, sibling-retaining resolution (so
+    /// the no-lost-concurrent-write check is sound — LWW legitimately
+    /// collapses concurrent siblings), a tight key space so concurrent
+    /// writes to one key are common, and the dot-level checks armed. Must
+    /// pass on every seed.
     pub fn skewed() -> Self {
         HarnessConfig {
             profile: Profile::Skewed,
+            resolution: TablePolicy::Siblings,
             keys: 6,
             clock_skew_max_micros: 300_000,
             ..Self::stock()
         }
     }
 
-    /// The skewed-clock profile on the *legacy* bare-timestamp resolver:
-    /// the regression configuration. Concurrent writes resolve by wall
-    /// clock, so a slow-clock client's acknowledged write gets silently
-    /// shadowed — the checker must report `LostConcurrentWrite` on some
-    /// seeds (the sweep runs it with `--expect-violations`).
-    pub fn skewed_legacy() -> Self {
+    /// The skewed-clock profile on the product's default
+    /// `LastWriterWins` policy: the regression configuration. Concurrent
+    /// writes resolve by wall clock, so a slow-clock client's
+    /// acknowledged write gets silently shadowed — the checker must
+    /// report `LostConcurrentWrite` on some seeds (the sweep runs it with
+    /// `--expect-violations`).
+    pub fn skewed_lww() -> Self {
         HarnessConfig {
-            legacy: true,
+            resolution: TablePolicy::LastWriterWins,
             ..Self::skewed()
         }
     }
 
     /// The cluster configuration this harness deploys.
     pub fn cluster_config(&self) -> ClusterConfig {
-        let cfg = ClusterConfig {
+        ClusterConfig {
             data_nodes: self.data_nodes as usize,
             partitioner: Partitioner::new(self.vnodes),
             quorum: if self.broken {
@@ -173,15 +177,7 @@ impl HarnessConfig {
         // the session-floor gate, R=1 "agreement" is reported clean no
         // matter how stale — exactly what the checker must catch.
         .with_session_floor_reads(!self.broken)
-        .with_legacy_timestamps(self.legacy);
-        if self.profile == Profile::Skewed {
-            // Retain concurrent siblings so the no-lost-concurrent-write
-            // check is sound (LWW legitimately collapses them). The
-            // legacy variant ignores the policy — that's the point.
-            cfg.with_sibling_resolution(TablePolicy::Siblings)
-        } else {
-            cfg
-        }
+        .with_sibling_resolution(self.resolution)
     }
 
     /// The nemesis envelope for this profile.

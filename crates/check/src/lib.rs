@@ -19,7 +19,7 @@
 //!   guarantees: monotonic writes, writes-follow-reads, sibling-set
 //!   agreement, and — the headline — *no lost concurrent write*: an
 //!   acked dot may only disappear when a surviving write causally
-//!   covers it (see the `skewed` / `skewed_legacy` harness profiles).
+//!   covers it (see the `skewed` / `skewed_lww` harness profiles).
 //!   Since PR-9 it also cross-validates the *observability plane* against
 //!   that ground truth: a run that provably lost writes must have fired
 //!   the `lost_writes`/`divergence_age` alert, and a clean run must end

@@ -102,19 +102,13 @@ pub struct ClusterConfig {
     /// reproduces the paper's visible semantics while still tracking causal
     /// clocks underneath.
     pub resolution: ResolutionConfig,
-    /// Paper-exact bare-timestamp versioning: no causal contexts, no row
-    /// clocks, `write_latest` is raw timestamp-wins. Kept selectable so the
-    /// skewed-clock nemesis sweep can demonstrate the acknowledged-write
-    /// loss DVV removes.
-    pub legacy_timestamps: bool,
     /// Session-floor gating on quorum reads: a clean (R-equal) answer is
     /// downgraded to degraded unless the agreeing replicas' joined row
     /// clock covers every dot the client session has observed for the key.
     /// R-equality alone cannot promise session monotonicity once a vnode
     /// moves — the new replica set need not intersect the old one — so
     /// without this gate a rebalance can serve a causally stale answer as
-    /// clean. Off in legacy-timestamp mode (no clocks to prove anything
-    /// with) and in deliberately weakened harness configurations.
+    /// clean. Off only in deliberately weakened harness configurations.
     pub session_floor_reads: bool,
 }
 
@@ -158,7 +152,6 @@ impl ClusterConfig {
             journal_capacity: 256,
             hot_key_capacity: 8,
             resolution: ResolutionConfig::default(),
-            legacy_timestamps: false,
             session_floor_reads: true,
         }
     }
@@ -172,19 +165,6 @@ impl ClusterConfig {
     /// Adds a per-table resolution override (first matching prefix wins).
     pub fn with_table_policy(mut self, prefix: Vec<u8>, policy: TablePolicy) -> Self {
         self.resolution.tables.push((prefix, policy));
-        self
-    }
-
-    /// Selects paper-exact bare-timestamp versioning (see
-    /// [`ClusterConfig::legacy_timestamps`]).
-    pub fn with_legacy_timestamps(mut self, legacy: bool) -> Self {
-        self.legacy_timestamps = legacy;
-        if legacy {
-            // Legacy rows carry no clocks, so the clean-read session gate
-            // has nothing to prove coverage with — the old scheme simply
-            // does not give the guarantee.
-            self.session_floor_reads = false;
-        }
         self
     }
 

@@ -44,7 +44,7 @@ pub enum ReplicaReadReply {
     Values {
         /// The row's (possibly multi-sibling) version list.
         versions: Vec<VersionedValue>,
-        /// The row's dotted-version-vector clock (empty in legacy mode).
+        /// The row's dotted-version-vector clock.
         clock: CausalContext,
     },
     /// Key unknown here.
@@ -69,8 +69,7 @@ pub enum ReplicaOp {
         /// Which write API.
         kind: WriteKind,
         /// The writer's causal context: every dot the client had observed
-        /// for this key before issuing the write. Empty for blind writes
-        /// (and always empty in legacy-timestamp mode).
+        /// for this key before issuing the write. Empty for blind writes.
         ctx: CausalContext,
         /// Distributed trace of the client op this write belongs to.
         trace: TraceId,
@@ -423,7 +422,7 @@ fn versions_size(v: &[VersionedValue]) -> usize {
 }
 
 /// Wire bytes of a causal context: 16 per `(actor, micros, counter)` entry.
-/// An empty context (blind writes, legacy mode) costs nothing, so frames
+/// An empty context (blind writes) costs nothing, so frames
 /// that never attach one keep their exact pre-DVV sizes.
 fn context_size(ctx: &CausalContext) -> usize {
     ctx.len() * 16

@@ -28,7 +28,9 @@ use sedna_common::time::{Micros, Timestamp};
 use sedna_common::{CausalContext, Key, NodeId, RequestId, TraceId, VNodeId};
 use sedna_coord::client::{LeaseCache, LeaseConfig, SessionClient, SessionConfig, SessionEvent};
 use sedna_coord::messages::{CoordMsg, CoordOp, CoordReply};
-use sedna_memstore::{MemStore, SpaceSaving, StoreConfig, WriteOutcome};
+use sedna_memstore::{
+    BatchWrite, BatchWriteResult, MemStore, RowSnapshot, SpaceSaving, StoreConfig, WriteOutcome,
+};
 use sedna_net::actor::{Actor, ActorId, Ctx, MessageSize, TimerToken};
 use sedna_obs::journal::EventJournal;
 use sedna_obs::registry::{Hist, MetricsSnapshot, Registry};
@@ -184,7 +186,6 @@ impl SednaNode {
             shards: 16,
             memory_budget: cfg.memory_budget,
             resolution: cfg.resolution.clone(),
-            legacy_timestamps: cfg.legacy_timestamps,
         }));
         if let Some(engine) = &persist {
             // Boot-time recovery (snapshot + WAL replay).
@@ -624,13 +625,70 @@ impl SednaNode {
         }
     }
 
-    /// Feeds one client-write sample to the `lost_writes` SLO. A replica
-    /// refusing a fresh write as timestamp-outdated is the runtime
-    /// signature of a concurrent update silently dominated by wall-clock
-    /// order — exactly what legacy (non-DVV) timestamps do under skew.
-    fn observe_write_conflict(&self, conflicted: bool, trace: TraceId, now: Micros) {
+    /// Post-apply bookkeeping of one replica write, shared by the per-op
+    /// and batched paths: counters, per-vnode load, hot-key sketch, the WAL
+    /// append and the `lost_writes` SLO sample. Returns the verdict to ack.
+    fn finish_write(
+        &mut self,
+        item: &BatchWrite,
+        res: BatchWriteResult,
+        trace: TraceId,
+        now: Micros,
+    ) -> ReplicaWriteAck {
+        let ack = match res.outcome {
+            WriteOutcome::Ok => {
+                self.stats.writes += 1;
+                let vnode = self.cfg.partitioner.locate(&item.key);
+                self.vnode_stats[vnode.index()].record_write(item.value.len() as i64, res.was_new);
+                self.hot_sketches[vnode.index()].offer(&item.key);
+                // Write-ahead means durable-before-ack: a failed append
+                // must not count toward W. The in-memory copy stays (like
+                // a write whose ack was lost) and can still propagate via
+                // anti-entropy.
+                match &self.persist {
+                    Some(p)
+                        if p.note_write(
+                            &item.key,
+                            item.ts,
+                            &item.value,
+                            &item.ctx,
+                            item.latest,
+                        )
+                        .is_err() =>
+                    {
+                        ReplicaWriteAck::Refused
+                    }
+                    _ => ReplicaWriteAck::Ok,
+                }
+            }
+            WriteOutcome::Outdated => {
+                self.stats.outdated += 1;
+                ReplicaWriteAck::Outdated
+            }
+        };
+        // A replica refusing a fresh write as timestamp-outdated is the
+        // runtime signature of a concurrent update silently dominated by
+        // wall-clock order — what timestamp LWW does under clock skew.
         if let Some(alerts) = &self.alerts {
+            let conflicted = ack == ReplicaWriteAck::Outdated;
             alerts.observe_traced(now, "lost_writes", f64::from(u8::from(conflicted)), trace.0);
+        }
+        ack
+    }
+
+    /// Read-side bookkeeping of one replica read (counters, per-vnode
+    /// load, hot-key sketch) and the reply carrying what the store held.
+    fn read_reply(&mut self, key: &Key, snap: Option<RowSnapshot>) -> ReplicaReadReply {
+        self.stats.reads += 1;
+        let vnode = self.cfg.partitioner.locate(key);
+        self.vnode_stats[vnode.index()].record_read();
+        self.hot_sketches[vnode.index()].offer(key);
+        match snap {
+            Some(snap) => ReplicaReadReply::Values {
+                versions: snap.to_vec(),
+                clock: snap.clock(),
+            },
+            None => ReplicaReadReply::Missing,
         }
     }
 
@@ -658,55 +716,23 @@ impl SednaNode {
                     );
                     return;
                 }
-                let bytes = value.len() as i64;
-                let is_new = !self.store.contains(&key);
+                let item = BatchWrite {
+                    key,
+                    ts,
+                    value,
+                    ctx: wctx,
+                    latest: kind == WriteKind::Latest,
+                };
                 sedna_memstore::take_lock_wait_nanos();
                 let t0 = std::time::Instant::now();
-                let outcome = match kind {
-                    WriteKind::Latest => {
-                        sedna_obs::prof_scope!("node.apply_write");
-                        self.store.write_latest_ctx(&key, ts, value.clone(), &wctx)
-                    }
-                    WriteKind::All => {
-                        sedna_obs::prof_scope!("node.apply_write");
-                        self.store.write_all_ctx(&key, ts, value.clone(), &wctx)
-                    }
+                let res = {
+                    sedna_obs::prof_scope!("node.apply_write");
+                    self.store.write(&item)
                 };
                 let apply_nanos = t0.elapsed().as_nanos() as u64;
                 let lock_nanos = sedna_memstore::take_lock_wait_nanos();
                 self.obs.apply_hist.record(apply_nanos);
-                let ack = match outcome {
-                    WriteOutcome::Ok => {
-                        self.stats.writes += 1;
-                        let vnode = self.cfg.partitioner.locate(&key);
-                        self.vnode_stats[vnode.index()].record_write(bytes, is_new);
-                        self.hot_sketches[vnode.index()].offer(&key);
-                        // Write-ahead means durable-before-ack: a failed
-                        // append must not count toward W. The in-memory copy
-                        // stays (like a write whose ack was lost) and can
-                        // still propagate via anti-entropy.
-                        match &self.persist {
-                            Some(p)
-                                if p.note_write(
-                                    &key,
-                                    ts,
-                                    &value,
-                                    &wctx,
-                                    kind == WriteKind::Latest,
-                                )
-                                .is_err() =>
-                            {
-                                ReplicaWriteAck::Refused
-                            }
-                            _ => ReplicaWriteAck::Ok,
-                        }
-                    }
-                    WriteOutcome::Outdated => {
-                        self.stats.outdated += 1;
-                        ReplicaWriteAck::Outdated
-                    }
-                };
-                self.observe_write_conflict(ack == ReplicaWriteAck::Outdated, trace, ctx.now());
+                let ack = self.finish_write(&item, res, trace, ctx.now());
                 ctx.send(
                     from,
                     SednaMsg::Replica(ReplicaOp::WriteAck {
@@ -724,26 +750,16 @@ impl SednaNode {
                     self.stats.refused += 1;
                     ReplicaReadReply::Refused
                 } else {
-                    self.stats.reads += 1;
-                    let vnode = self.cfg.partitioner.locate(&key);
-                    self.vnode_stats[vnode.index()].record_read();
-                    self.hot_sketches[vnode.index()].offer(&key);
                     sedna_memstore::take_lock_wait_nanos();
                     let t0 = std::time::Instant::now();
-                    let reply = {
+                    let snap = {
                         sedna_obs::prof_scope!("node.apply_read");
-                        match self.store.read_all(&key) {
-                            Some(snap) => ReplicaReadReply::Values {
-                                versions: snap.to_vec(),
-                                clock: snap.clock(),
-                            },
-                            None => ReplicaReadReply::Missing,
-                        }
+                        self.store.read_all(&key)
                     };
                     apply_nanos = t0.elapsed().as_nanos() as u64;
                     lock_nanos = sedna_memstore::take_lock_wait_nanos();
                     self.obs.apply_hist.record(apply_nanos);
-                    reply
+                    self.read_reply(&key, snap)
                 };
                 ctx.send(
                     from,
@@ -757,7 +773,7 @@ impl SednaNode {
             }
             ReplicaOp::Push { req, key, versions } => {
                 self.stats.pushes += 1;
-                self.store.merge_versions(&key, &versions);
+                self.store.merge_row(&key, &versions, &CausalContext::EMPTY);
                 // Ack so the repairing client can close its convergence
                 // window; the client never blocks on this.
                 ctx.send(from, SednaMsg::Replica(ReplicaOp::PushAck { req }));
@@ -1004,8 +1020,14 @@ impl SednaNode {
     fn handle_batch(&mut self, from: ActorId, ops: Vec<ReplicaOp>, ctx: &mut Ctx<'_, SednaMsg>) {
         let n = ops.len();
         let mut acks: Vec<Option<ReplicaOp>> = vec![None; n];
+        // `kind` is not read back (`BatchWrite::latest` carries it): it keeps
+        // the element at 32 bytes. Measured, not derived: with a 24-byte
+        // element this vector grows through 96/192/384 B instead of
+        // 128/256/512 B, and with nothing else changed `batch_many` lost
+        // ~10% throughput and doubled its run-to-run spread on the 2-core
+        // sandbox (CHANGES.md, PR 15).
         let mut write_meta: Vec<(usize, RequestId, WriteKind, TraceId)> = Vec::new();
-        let mut write_items: Vec<sedna_memstore::BatchWrite> = Vec::new();
+        let mut write_items: Vec<BatchWrite> = Vec::new();
         let mut read_meta: Vec<(usize, RequestId)> = Vec::new();
         let mut read_keys: Vec<Key> = Vec::new();
         for (i, op) in ops.into_iter().enumerate() {
@@ -1021,7 +1043,7 @@ impl SednaNode {
                 } => {
                     if self.owns(&key) {
                         write_meta.push((i, req, kind, trace));
-                        write_items.push(sedna_memstore::BatchWrite {
+                        write_items.push(BatchWrite {
                             key,
                             ts,
                             value,
@@ -1073,39 +1095,10 @@ impl SednaNode {
         if !write_items.is_empty() {
             self.obs.apply_hist.record(write_nanos);
         }
-        for (((i, req, kind, trace), item), res) in
+        for (((i, req, _kind, trace), item), res) in
             write_meta.into_iter().zip(&write_items).zip(write_results)
         {
-            let ack = match res.outcome {
-                WriteOutcome::Ok => {
-                    self.stats.writes += 1;
-                    let vnode = self.cfg.partitioner.locate(&item.key);
-                    self.vnode_stats[vnode.index()]
-                        .record_write(item.value.len() as i64, res.was_new);
-                    self.hot_sketches[vnode.index()].offer(&item.key);
-                    // Durable-before-ack, as on the unbatched path.
-                    match &self.persist {
-                        Some(p)
-                            if p.note_write(
-                                &item.key,
-                                item.ts,
-                                &item.value,
-                                &item.ctx,
-                                kind == WriteKind::Latest,
-                            )
-                            .is_err() =>
-                        {
-                            ReplicaWriteAck::Refused
-                        }
-                        _ => ReplicaWriteAck::Ok,
-                    }
-                }
-                WriteOutcome::Outdated => {
-                    self.stats.outdated += 1;
-                    ReplicaWriteAck::Outdated
-                }
-            };
-            self.observe_write_conflict(ack == ReplicaWriteAck::Outdated, trace, ctx.now());
+            let ack = self.finish_write(item, res, trace, ctx.now());
             acks[i] = Some(ReplicaOp::WriteAck {
                 req,
                 ack,
@@ -1122,21 +1115,10 @@ impl SednaNode {
         if !read_keys.is_empty() {
             self.obs.apply_hist.record(read_nanos);
         }
-        for (((i, req), key), values) in read_meta.into_iter().zip(&read_keys).zip(read_results) {
-            self.stats.reads += 1;
-            let vnode = self.cfg.partitioner.locate(key);
-            self.vnode_stats[vnode.index()].record_read();
-            self.hot_sketches[vnode.index()].offer(key);
-            let reply = match values {
-                Some(snap) => ReplicaReadReply::Values {
-                    versions: snap.to_vec(),
-                    clock: snap.clock(),
-                },
-                None => ReplicaReadReply::Missing,
-            };
+        for (((i, req), key), snap) in read_meta.into_iter().zip(&read_keys).zip(read_results) {
             acks[i] = Some(ReplicaOp::ReadReply {
                 req,
-                reply,
+                reply: self.read_reply(key, snap),
                 apply_nanos: read_nanos,
                 lock_nanos: 0,
             });

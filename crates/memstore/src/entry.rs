@@ -61,53 +61,14 @@ pub(crate) fn latest_of(versions: &[VersionedValue]) -> Option<&VersionedValue> 
     versions.iter().max_by_key(|v| v.ts)
 }
 
-/// `write_latest` (Sec. III-F): the row collapses to a single element if
-/// (and only if) `ts` is not older than everything stored.
-pub(crate) fn apply_write_latest(cur: &[VersionedValue], ts: Timestamp, value: Value) -> Applied {
-    let max = latest_of(cur).map(|v| v.ts).unwrap_or(Timestamp::ZERO);
-    if ts < max {
-        return Applied::Outdated;
-    }
-    if ts == max && !cur.is_empty() {
-        // Duplicate delivery of the same write: idempotent success.
-        return Applied::Unchanged;
-    }
-    Applied::Replaced(RowSnapshot::one(VersionedValue { ts, value }))
-}
-
-/// `write_all` (Sec. III-F): only the element from the same source
-/// (`ts.origin`) is compared and replaced; other sources' elements are
-/// untouched.
-pub(crate) fn apply_write_all(cur: &[VersionedValue], ts: Timestamp, value: Value) -> Applied {
-    match cur.iter().position(|v| v.ts.origin == ts.origin) {
-        Some(i) => {
-            if ts < cur[i].ts {
-                return Applied::Outdated;
-            }
-            if ts == cur[i].ts {
-                return Applied::Unchanged;
-            }
-            let mut next = cur.to_vec();
-            next[i] = VersionedValue { ts, value };
-            Applied::Replaced(RowSnapshot::from_vec(next))
-        }
-        None => {
-            let mut next = Vec::with_capacity(cur.len() + 1);
-            next.extend_from_slice(cur);
-            next.push(VersionedValue { ts, value });
-            Applied::Replaced(RowSnapshot::from_vec(next))
-        }
-    }
-}
-
 /// Dotted-version-vector write (Preguiça et al.): the causal context `ctx`
 /// is what the writer had read before issuing this write, so every stored
 /// sibling covered by `ctx` was causally observed and is replaced; siblings
 /// *not* covered are concurrent and survive. The incoming dot is `ts`
 /// itself. With `collapse` the surviving set is additionally reduced to the
 /// single freshest element — the per-table last-writer-wins policy — while
-/// preserving the legacy `write_latest` reply contract (strictly older than
-/// the stored maximum ⇒ `Outdated`).
+/// preserving the paper's `write_latest` reply contract (Sec. III-C:
+/// strictly older than the stored maximum ⇒ `Outdated`).
 ///
 /// Same-origin dots are issued in program order by the HLC oracle, so the
 /// row keeps at most one sibling per origin: a newer same-origin dot always
@@ -141,7 +102,7 @@ pub(crate) fn apply_dvv_write(
         }
     }
     if collapse {
-        // Legacy last-writer-wins reply contract.
+        // The paper's last-writer-wins reply contract.
         let max = latest_of(cur_vals).map(|v| v.ts).unwrap_or(Timestamp::ZERO);
         if ts < max {
             return Applied::Outdated;
@@ -188,7 +149,8 @@ pub(crate) fn apply_dvv_write(
 /// The merged clock is the join. Returns `None` when nothing — list *or*
 /// clock — would change, so no-op merges never swap the row.
 ///
-/// Like [`merge_lists`], merging never dirties a row.
+/// Merging never dirties a row — replica repair is not an application
+/// write and must not fire triggers on the repaired copy.
 pub(crate) fn merge_dvv(
     cur: &RowSnapshot,
     incoming: &[VersionedValue],
@@ -197,7 +159,8 @@ pub(crate) fn merge_dvv(
     let cur_vals = cur.as_slice();
     let cur_clock = cur.clock();
     // The effective remote clock always dominates the remote live dots,
-    // even when the caller only had a bare list (legacy wire frames).
+    // even when the caller only had a bare list (read-repair `Push`
+    // frames carry no clock).
     let mut inc_clock = incoming_clock.clone();
     for v in incoming {
         inc_clock.observe(&v.ts);
@@ -239,34 +202,6 @@ pub(crate) fn merge_dvv(
     Some(RowSnapshot::from_parts(next, Some(merged_clock)))
 }
 
-/// Merge of a full version list (replica synchronization / recovery):
-/// element-wise per-source newest-wins. Returns the merged list when
-/// anything changed, `None` for a no-op. Merging never dirties a row —
-/// replica repair is not an application write and must not fire triggers
-/// on the repaired copy.
-pub(crate) fn merge_lists(
-    cur: &[VersionedValue],
-    incoming: &[VersionedValue],
-) -> Option<Vec<VersionedValue>> {
-    let mut next = cur.to_vec();
-    let mut changed = false;
-    for inc in incoming {
-        match next.iter_mut().find(|v| v.ts.origin == inc.ts.origin) {
-            Some(existing) => {
-                if inc.ts > existing.ts {
-                    *existing = inc.clone();
-                    changed = true;
-                }
-            }
-            None => {
-                next.push(inc.clone());
-                changed = true;
-            }
-        }
-    }
-    changed.then_some(next)
-}
-
 /// Approximate heap footprint of a version slice, for the store's memory
 /// accounting. Matches memcached's spirit (item overhead + data).
 pub(crate) fn payload_of(versions: &[VersionedValue]) -> usize {
@@ -284,123 +219,6 @@ mod tests {
 
     fn ts(micros: u64, origin: u32) -> Timestamp {
         Timestamp::new(micros, 0, NodeId(origin))
-    }
-
-    /// Applies a decision to an owned list, mimicking the store's swap.
-    fn step(cur: &mut Vec<VersionedValue>, applied: Applied) -> WriteOutcome {
-        match applied {
-            Applied::Outdated => WriteOutcome::Outdated,
-            Applied::Unchanged => WriteOutcome::Ok,
-            Applied::Replaced(snap) => {
-                *cur = snap.to_vec();
-                WriteOutcome::Ok
-            }
-        }
-    }
-
-    #[test]
-    fn write_latest_newer_wins_older_rejected() {
-        let mut row = Vec::new();
-        let applied = apply_write_latest(&row, ts(10, 1), Value::from("a"));
-        assert_eq!(step(&mut row, applied), WriteOutcome::Ok);
-        let applied = apply_write_latest(&row, ts(5, 2), Value::from("b"));
-        assert_eq!(step(&mut row, applied), WriteOutcome::Outdated);
-        assert_eq!(latest_of(&row).unwrap().value, Value::from("a"));
-        let applied = apply_write_latest(&row, ts(20, 2), Value::from("c"));
-        assert_eq!(step(&mut row, applied), WriteOutcome::Ok);
-        assert_eq!(latest_of(&row).unwrap().value, Value::from("c"));
-        assert_eq!(row.len(), 1, "write_latest collapses the list");
-    }
-
-    #[test]
-    fn write_latest_duplicate_is_unchanged_ok() {
-        let mut row = Vec::new();
-        step(
-            &mut row,
-            apply_write_latest(&[], ts(10, 1), Value::from("a")),
-        );
-        assert!(
-            matches!(
-                apply_write_latest(&row, ts(10, 1), Value::from("a")),
-                Applied::Unchanged
-            ),
-            "duplicate must not re-dirty the row"
-        );
-    }
-
-    #[test]
-    fn write_all_keeps_one_element_per_source() {
-        let mut row = Vec::new();
-        step(
-            &mut row,
-            apply_write_all(&[], ts(10, 1), Value::from("s1-a")),
-        );
-        let cur = row.clone();
-        step(
-            &mut row,
-            apply_write_all(&cur, ts(12, 2), Value::from("s2-a")),
-        );
-        let cur = row.clone();
-        step(
-            &mut row,
-            apply_write_all(&cur, ts(11, 1), Value::from("s1-b")),
-        );
-        assert_eq!(row.len(), 2);
-        let v1 = row.iter().find(|v| v.ts.origin == NodeId(1)).unwrap();
-        assert_eq!(v1.value, Value::from("s1-b"));
-        // Older per-source write rejected even if newer than other sources.
-        assert!(matches!(
-            apply_write_all(&row, ts(10, 1), Value::from("stale")),
-            Applied::Outdated
-        ));
-        // read_latest sees the globally freshest element.
-        assert_eq!(latest_of(&row).unwrap().value, Value::from("s2-a"));
-    }
-
-    #[test]
-    fn write_all_then_latest_collapses() {
-        let mut row = Vec::new();
-        step(&mut row, apply_write_all(&[], ts(10, 1), Value::from("a")));
-        let cur = row.clone();
-        step(&mut row, apply_write_all(&cur, ts(11, 2), Value::from("b")));
-        let cur = row.clone();
-        step(
-            &mut row,
-            apply_write_latest(&cur, ts(12, 3), Value::from("winner")),
-        );
-        assert_eq!(row.len(), 1);
-        assert_eq!(latest_of(&row).unwrap().value, Value::from("winner"));
-    }
-
-    #[test]
-    fn merge_is_per_source_newest_wins() {
-        let row = vec![VersionedValue {
-            ts: ts(10, 1),
-            value: Value::from("mine"),
-        }];
-        let incoming = vec![
-            VersionedValue {
-                ts: ts(5, 1),
-                value: Value::from("stale"),
-            },
-            VersionedValue {
-                ts: ts(20, 2),
-                value: Value::from("other"),
-            },
-        ];
-        let merged = merge_lists(&row, &incoming).expect("new source merged");
-        assert_eq!(merged.len(), 2);
-        assert_eq!(
-            merged
-                .iter()
-                .find(|v| v.ts.origin == NodeId(1))
-                .unwrap()
-                .value,
-            Value::from("mine"),
-            "stale incoming element ignored"
-        );
-        // Merging identical content again changes nothing.
-        assert!(merge_lists(&merged, &merged.clone()).is_none());
     }
 
     #[test]
@@ -488,7 +306,7 @@ mod tests {
     }
 
     #[test]
-    fn dvv_collapse_matches_legacy_replies_but_remembers_dots() {
+    fn dvv_collapse_keeps_paper_replies_and_remembers_dots() {
         let mut row = RowSnapshot::empty();
         let ctx = CausalContext::EMPTY;
         assert_eq!(
@@ -498,17 +316,89 @@ mod tests {
         assert_eq!(
             dvv_step(&mut row, ts(5, 2), Value::from("b"), &ctx, true),
             WriteOutcome::Outdated,
-            "collapse keeps the legacy outdated contract"
+            "collapse keeps the paper's outdated contract"
         );
+        assert_eq!(latest_of(&row).unwrap().value, Value::from("a"));
         assert_eq!(
             dvv_step(&mut row, ts(20, 2), Value::from("c"), &ctx, true),
             WriteOutcome::Ok
         );
-        assert_eq!(row.len(), 1);
+        assert_eq!(latest_of(&row).unwrap().value, Value::from("c"));
+        assert_eq!(row.len(), 1, "write_latest collapses the list");
         assert!(
             row.clock().covers(&ts(10, 1)),
             "collapsed dot stays covered"
         );
+    }
+
+    #[test]
+    fn dvv_duplicate_delivery_is_unchanged() {
+        let ctx = CausalContext::EMPTY;
+        for collapse in [true, false] {
+            let mut row = RowSnapshot::empty();
+            dvv_step(&mut row, ts(10, 1), Value::from("a"), &ctx, collapse);
+            assert!(
+                matches!(
+                    apply_dvv_write(&row, ts(10, 1), Value::from("a"), &ctx, collapse),
+                    Applied::Unchanged
+                ),
+                "duplicate must not re-dirty the row (collapse={collapse})"
+            );
+        }
+    }
+
+    #[test]
+    fn dvv_blind_write_all_keeps_one_element_per_origin() {
+        let mut row = RowSnapshot::empty();
+        let ctx = CausalContext::EMPTY;
+        dvv_step(&mut row, ts(10, 1), Value::from("s1-a"), &ctx, false);
+        dvv_step(&mut row, ts(12, 2), Value::from("s2-a"), &ctx, false);
+        dvv_step(&mut row, ts(11, 1), Value::from("s1-b"), &ctx, false);
+        assert_eq!(row.len(), 2);
+        let v1 = row.iter().find(|v| v.ts.origin == NodeId(1)).unwrap();
+        assert_eq!(v1.value, Value::from("s1-b"));
+        // Older same-origin write rejected even if newer than other origins.
+        assert!(matches!(
+            apply_dvv_write(&row, ts(10, 1), Value::from("stale"), &ctx, false),
+            Applied::Outdated
+        ));
+        // read_latest sees the globally freshest element.
+        assert_eq!(latest_of(&row).unwrap().value, Value::from("s2-a"));
+    }
+
+    #[test]
+    fn dvv_write_all_then_latest_collapses() {
+        let mut row = RowSnapshot::empty();
+        let ctx = CausalContext::EMPTY;
+        dvv_step(&mut row, ts(10, 1), Value::from("a"), &ctx, false);
+        dvv_step(&mut row, ts(11, 2), Value::from("b"), &ctx, false);
+        assert_eq!(row.len(), 2);
+        dvv_step(&mut row, ts(12, 3), Value::from("winner"), &ctx, true);
+        assert_eq!(row.len(), 1);
+        assert_eq!(latest_of(&row).unwrap().value, Value::from("winner"));
+    }
+
+    #[test]
+    fn dvv_merge_is_per_origin_newest_wins() {
+        let mut row = RowSnapshot::empty();
+        let ctx = CausalContext::EMPTY;
+        dvv_step(&mut row, ts(10, 1), Value::from("mine"), &ctx, false);
+        let incoming = vec![
+            VersionedValue {
+                ts: ts(5, 1),
+                value: Value::from("stale"),
+            },
+            VersionedValue {
+                ts: ts(20, 2),
+                value: Value::from("other"),
+            },
+        ];
+        let merged = merge_dvv(&row, &incoming, &ctx).expect("new origin merged");
+        assert_eq!(merged.len(), 2);
+        let v1 = merged.iter().find(|v| v.ts.origin == NodeId(1)).unwrap();
+        assert_eq!(v1.value, Value::from("mine"), "stale incoming ignored");
+        // Merging the same bare list again changes nothing.
+        assert!(merge_dvv(&merged, &incoming, &ctx).is_none());
     }
 
     #[test]
@@ -578,7 +468,13 @@ mod tests {
     fn latest_of_empty_is_none() {
         assert!(latest_of(&[]).is_none());
         assert!(matches!(
-            apply_write_latest(&[], Timestamp::ZERO, Value::from("z")),
+            apply_dvv_write(
+                &RowSnapshot::empty(),
+                Timestamp::ZERO,
+                Value::from("z"),
+                &CausalContext::EMPTY,
+                true
+            ),
             Applied::Replaced(_)
         ));
     }

@@ -253,10 +253,10 @@ mod tests {
         Row::new(
             Key::from(name.to_string()),
             7,
-            RowSnapshot::one(VersionedValue {
+            RowSnapshot::from_vec(vec![VersionedValue {
                 ts: Timestamp::new(1, 0, NodeId(0)),
                 value: Value::from("v"),
-            }),
+            }]),
             RowMeta::default(),
             0,
         )
@@ -292,10 +292,10 @@ mod tests {
         assert_eq!(snap.len(), 1);
         unsafe {
             r.replace_snap(
-                RowSnapshot::one(VersionedValue {
+                RowSnapshot::from_vec(vec![VersionedValue {
                     ts: Timestamp::new(2, 0, NodeId(0)),
                     value: Value::from("w"),
-                }),
+                }]),
                 &guard,
             )
         };

@@ -70,15 +70,6 @@ impl RowSnapshot {
         RowSnapshot(None)
     }
 
-    /// Wraps a single version without building an intermediate `Vec`.
-    /// The row clock is implicitly that version's dot.
-    pub(crate) fn one(v: VersionedValue) -> RowSnapshot {
-        RowSnapshot(Some(Arc::new(SnapRepr {
-            vals: Vals::One(v),
-            extra_clock: None,
-        })))
-    }
-
     /// Builds a snapshot from an owned version list with an implicit clock
     /// (the join of the list's dots).
     pub(crate) fn from_vec(v: Vec<VersionedValue>) -> RowSnapshot {

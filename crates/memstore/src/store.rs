@@ -42,8 +42,7 @@ use sedna_obs::flight::{self, FlightKind};
 
 use crate::engine::{self, EngineSnapshot, EngineStats};
 use crate::entry::{
-    apply_dvv_write, apply_write_all, apply_write_latest, latest_of, merge_dvv, merge_lists,
-    payload_of, Applied, VersionedValue, WriteOutcome,
+    apply_dvv_write, latest_of, merge_dvv, payload_of, Applied, VersionedValue, WriteOutcome,
 };
 use crate::policy::{ResolutionConfig, ResolverFn, TablePolicy};
 use crate::row::{Row, RowMeta, RowSlab, PAGE};
@@ -87,11 +86,6 @@ pub struct StoreConfig {
     pub memory_budget: Option<usize>,
     /// Per-table sibling resolution under dotted version vectors.
     pub resolution: ResolutionConfig,
-    /// Paper-exact bare-timestamp mode: causal contexts are ignored, rows
-    /// never track clocks, and `write_latest` is raw timestamp-wins. Kept
-    /// selectable so the checker can demonstrate the data-loss hazard DVV
-    /// removes (the skewed-clock mutation-sanity sweep).
-    pub legacy_timestamps: bool,
 }
 
 impl Default for StoreConfig {
@@ -100,7 +94,6 @@ impl Default for StoreConfig {
             shards: 16,
             memory_budget: None,
             resolution: ResolutionConfig::default(),
-            legacy_timestamps: false,
         }
     }
 }
@@ -163,7 +156,7 @@ impl Shard {
     }
 }
 
-/// One write in a [`MemStore::apply_batch`] call.
+/// One write, as [`MemStore::write`] and [`MemStore::apply_batch`] take it.
 #[derive(Clone, Debug)]
 pub struct BatchWrite {
     /// The row key.
@@ -178,13 +171,13 @@ pub struct BatchWrite {
     pub latest: bool,
 }
 
-/// Per-op result of [`MemStore::apply_batch`].
+/// Result of one [`BatchWrite`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchWriteResult {
-    /// Applied or outdated, exactly as the per-op write would report.
+    /// Applied or outdated (the paper's `'ok'` / `'outdated'` replies).
     pub outcome: WriteOutcome,
-    /// True when the row held no data before this write (feeds the same
-    /// per-vnode accounting as `!store.contains(key)` on the per-op path).
+    /// True when the row held no data before this write (feeds the
+    /// per-vnode key-count accounting).
     pub was_new: bool,
 }
 
@@ -221,7 +214,6 @@ pub struct MemStore {
     mask: u64,
     budget_per_shard: Option<usize>,
     resolution: ResolutionConfig,
-    legacy: bool,
     /// Application sibling resolvers, `(flat-key prefix, fn)`. Consulted
     /// only when a read sees two or more siblings, behind the fast flag.
     resolvers: RwLock<Vec<(Vec<u8>, Arc<ResolverFn>)>>,
@@ -244,7 +236,6 @@ impl MemStore {
             mask: (n - 1) as u64,
             budget_per_shard: config.memory_budget.map(|b| b / n),
             resolution: config.resolution,
-            legacy: config.legacy_timestamps,
             resolvers: RwLock::new(Vec::new()),
             has_resolvers: AtomicBool::new(false),
             stats: StoreStats::default(),
@@ -323,75 +314,44 @@ impl MemStore {
         (fnv1a64(key.as_bytes()) & self.mask) as usize
     }
 
+    /// Applies one write carrying the writer's causal context: siblings
+    /// the writer had observed are causally superseded; concurrent siblings
+    /// survive unless the write is a `write_latest` on a table whose policy
+    /// is last-writer-wins, which collapses the row to the freshest dot.
+    pub fn write(&self, op: &BatchWrite) -> BatchWriteResult {
+        self.write_routed(&op.key, op.ts, op.value.clone(), &op.ctx, op.latest)
+    }
+
     /// Applies a `write_latest` (Sec. III-F) with no causal context — a
     /// blind write. Under the default LWW policy the newest timestamp wins
     /// and the value list collapses to one element.
     pub fn write_latest(&self, key: &Key, ts: Timestamp, value: Value) -> WriteOutcome {
-        self.write_latest_ctx(key, ts, value, &CausalContext::EMPTY)
-    }
-
-    /// `write_latest` carrying the writer's causal context: siblings the
-    /// writer had observed are causally superseded; concurrent siblings
-    /// survive when the key's table policy retains them.
-    pub fn write_latest_ctx(
-        &self,
-        key: &Key,
-        ts: Timestamp,
-        value: Value,
-        ctx: &CausalContext,
-    ) -> WriteOutcome {
-        let (shard, h) = self.route(key);
-        let guard = epoch::pin();
-        let mut inner = self.lock_shard(shard);
-        self.write_one(shard, &mut inner, &guard, key, h, ts, value, ctx, true)
-            .0
+        self.write_routed(key, ts, value, &CausalContext::EMPTY, true)
+            .outcome
     }
 
     /// Applies a `write_all` (Sec. III-F) with no causal context.
     pub fn write_all(&self, key: &Key, ts: Timestamp, value: Value) -> WriteOutcome {
-        self.write_all_ctx(key, ts, value, &CausalContext::EMPTY)
+        self.write_routed(key, ts, value, &CausalContext::EMPTY, false)
+            .outcome
     }
 
-    /// `write_all` carrying the writer's causal context.
-    pub fn write_all_ctx(
+    /// Single-op entry into [`MemStore::write_one`]: route, pin, lock.
+    fn write_routed(
         &self,
         key: &Key,
-        ts: Timestamp,
-        value: Value,
-        ctx: &CausalContext,
-    ) -> WriteOutcome {
-        let (shard, h) = self.route(key);
-        let guard = epoch::pin();
-        let mut inner = self.lock_shard(shard);
-        self.write_one(shard, &mut inner, &guard, key, h, ts, value, ctx, false)
-            .0
-    }
-
-    /// Pure write decision against the current row state, honouring the
-    /// store's resolver mode: legacy bare-timestamp semantics, or the DVV
-    /// put with the key's table policy choosing sibling collapse.
-    fn decide_write(
-        &self,
-        key: &Key,
-        cur: &RowSnapshot,
         ts: Timestamp,
         value: Value,
         ctx: &CausalContext,
         latest: bool,
-    ) -> Applied {
-        if self.legacy {
-            return if latest {
-                apply_write_latest(cur.as_slice(), ts, value)
-            } else {
-                apply_write_all(cur.as_slice(), ts, value)
-            };
-        }
-        let collapse = latest && self.resolution.policy_for(key) == TablePolicy::LastWriterWins;
-        apply_dvv_write(cur, ts, value, ctx, collapse)
+    ) -> BatchWriteResult {
+        let (shard, h) = self.route(key);
+        let guard = epoch::pin();
+        let mut inner = self.lock_shard(shard);
+        self.write_one(shard, &mut inner, &guard, key, h, ts, value, ctx, latest)
     }
 
-    /// Shared write path (shard mutex held). Returns the outcome and
-    /// whether the row held no data beforehand.
+    /// Shared write path (shard mutex held).
     #[allow(clippy::too_many_arguments)]
     fn write_one(
         &self,
@@ -404,33 +364,33 @@ impl MemStore {
         value: Value,
         ctx: &CausalContext,
         latest: bool,
-    ) -> (WriteOutcome, bool) {
+    ) -> BatchWriteResult {
         let counter = if latest {
             &self.stats.writes_latest
         } else {
             &self.stats.writes_all
         };
+        let collapse = latest && self.resolution.policy_for(key) == TablePolicy::LastWriterWins;
         // SAFETY: shard mutex held.
         let table = unsafe { shard.table() };
         match table.locate(h, key) {
             Locate::Found(_, p) => {
                 // SAFETY: row is live (writer lock held) and we are pinned.
                 let row = unsafe { &*p };
-                // Refcount bump, not a deep copy: the decision functions
-                // need the row clock as well as the version slice.
+                // Refcount bump, not a deep copy: the decision function
+                // needs the row clock as well as the version slice.
                 let cur = unsafe { row.snapshot() };
                 let was_new = cur.is_empty();
-                let applied = self.decide_write(key, &cur, ts, value, ctx, latest);
-                match applied {
+                let outcome = match apply_dvv_write(&cur, ts, value, ctx, collapse) {
                     Applied::Outdated => {
                         StoreStats::bump(&self.stats.outdated);
-                        (WriteOutcome::Outdated, was_new)
+                        WriteOutcome::Outdated
                     }
                     Applied::Unchanged => {
                         shard.touch(row);
                         StoreStats::bump(counter);
                         self.maybe_evict(shard, inner, guard);
-                        (WriteOutcome::Ok, was_new)
+                        WriteOutcome::Ok
                     }
                     Applied::Replaced(new) => {
                         // SAFETY: meta is writer-owned; mutex held.
@@ -449,12 +409,13 @@ impl MemStore {
                         shard.touch(row);
                         StoreStats::bump(counter);
                         self.maybe_evict(shard, inner, guard);
-                        (WriteOutcome::Ok, was_new)
+                        WriteOutcome::Ok
                     }
-                }
+                };
+                BatchWriteResult { outcome, was_new }
             }
             Locate::Vacant(_) => {
-                let applied = self.decide_write(key, &RowSnapshot::empty(), ts, value, ctx, latest);
+                let applied = apply_dvv_write(&RowSnapshot::empty(), ts, value, ctx, collapse);
                 let Applied::Replaced(new) = applied else {
                     // Writes against an empty row always apply.
                     unreachable!("write into empty row must replace");
@@ -476,7 +437,10 @@ impl MemStore {
                 self.insert_row(shard, inner, h, row, guard);
                 StoreStats::bump(counter);
                 self.maybe_evict(shard, inner, guard);
-                (WriteOutcome::Ok, true)
+                BatchWriteResult {
+                    outcome: WriteOutcome::Ok,
+                    was_new: true,
+                }
             }
         }
     }
@@ -618,10 +582,12 @@ impl MemStore {
 
     /// Applies a batch of timestamped writes, acquiring each shard's
     /// writer lock once per batch instead of once per op. Semantics are
-    /// identical to calling [`MemStore::write_latest`] /
-    /// [`MemStore::write_all`] per element in order; results come back
-    /// positionally.
+    /// identical to calling [`MemStore::write`] per element in order;
+    /// results come back positionally. An empty batch touches nothing.
     pub fn apply_batch(&self, ops: &[BatchWrite]) -> Vec<BatchWriteResult> {
+        if ops.is_empty() {
+            return Vec::new();
+        }
         let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
         for (i, op) in ops.iter().enumerate() {
             groups.entry(self.shard_index(&op.key)).or_default().push(i);
@@ -637,7 +603,7 @@ impl MemStore {
             for i in idxs {
                 let op = &ops[i];
                 let h = mix(fnv1a64(op.key.as_bytes()));
-                let (outcome, was_new) = self.write_one(
+                results[i] = Some(self.write_one(
                     shard,
                     &mut inner,
                     &guard,
@@ -647,8 +613,7 @@ impl MemStore {
                     op.value.clone(),
                     &op.ctx,
                     op.latest,
-                );
-                results[i] = Some(BatchWriteResult { outcome, was_new });
+                ));
             }
         }
         results
@@ -661,6 +626,9 @@ impl MemStore {
     /// pin — no locks at all. Positionally equivalent to
     /// [`MemStore::read_all`] per key.
     pub fn get_many(&self, keys: &[Key]) -> Vec<Option<RowSnapshot>> {
+        if keys.is_empty() {
+            return Vec::new();
+        }
         let guard = epoch::pin();
         let mut results = Vec::with_capacity(keys.len());
         for key in keys {
@@ -686,18 +654,12 @@ impl MemStore {
         results
     }
 
-    /// Merges a replica's bare version list into the row (legacy wire
-    /// frames / recovery) — equivalent to [`MemStore::merge_row`] with an
-    /// empty remote clock. Returns true when the row changed.
-    pub fn merge_versions(&self, key: &Key, incoming: &[VersionedValue]) -> bool {
-        self.merge_row(key, incoming, &CausalContext::EMPTY)
-    }
-
     /// Merges a replica's version list *and row clock* into the row without
     /// dirtying it (replica synchronization / read repair). The remote
     /// clock is what lets this replica drop siblings the remote causally
-    /// pruned instead of resurrecting them. Returns true when the row
-    /// changed (list or clock).
+    /// pruned instead of resurrecting them; a sender that only has a bare
+    /// list (read-repair pushes) passes [`CausalContext::EMPTY`]. Returns
+    /// true when the row changed (list or clock).
     pub fn merge_row(
         &self,
         key: &Key,
@@ -717,12 +679,7 @@ impl MemStore {
                 let row = unsafe { &*p };
                 // Refcount bump: the merge needs the row clock too.
                 let cur = unsafe { row.snapshot() };
-                let next = if self.legacy {
-                    merge_lists(cur.as_slice(), incoming).map(RowSnapshot::from_vec)
-                } else {
-                    merge_dvv(&cur, incoming, incoming_clock)
-                };
-                match next {
+                match merge_dvv(&cur, incoming, incoming_clock) {
                     None => false,
                     Some(snap) => {
                         inner.payload_bytes =
@@ -739,14 +696,8 @@ impl MemStore {
                 if incoming.is_empty() {
                     return false;
                 }
-                let snap = if self.legacy {
-                    RowSnapshot::from_vec(
-                        merge_lists(&[], incoming).expect("non-empty incoming on empty row"),
-                    )
-                } else {
-                    merge_dvv(&RowSnapshot::empty(), incoming, incoming_clock)
-                        .expect("non-empty incoming on empty row")
-                };
+                let snap = merge_dvv(&RowSnapshot::empty(), incoming, incoming_clock)
+                    .expect("non-empty incoming on empty row");
                 if snap.is_empty() {
                     // Every incoming sibling was already covered: nothing
                     // worth materializing a row for.
@@ -896,10 +847,11 @@ impl MemStore {
         out
     }
 
-    /// Snapshots all rows whose key satisfies `pred` (vnode migration
-    /// source). Lock-free; snapshots are refcount bumps.
-    pub fn collect_matching(&self, mut pred: impl FnMut(&Key) -> bool) -> Vec<(Key, RowSnapshot)> {
-        let mut out = Vec::new();
+    /// Pinned, lock-free walk over every row that holds data, checked by
+    /// a borrowed peek (no refcount traffic). Rows written concurrently
+    /// may or may not be seen. The pin outlives every call of `f`, so `f`
+    /// may take [`Row::snapshot`]s.
+    fn walk(&self, mut f: impl FnMut(&Row)) {
         let guard = epoch::pin();
         for shard in self.shards.iter() {
             // SAFETY: pinned.
@@ -912,14 +864,26 @@ impl MemStore {
                 if p.is_null() {
                     continue;
                 }
+                // SAFETY: pinned before the row was loaded from the table.
                 let row = unsafe { &*p };
-                if unsafe { row.peek(&guard) }.is_empty() || !pred(&row.key) {
-                    continue;
+                if !unsafe { row.peek(&guard) }.is_empty() {
+                    f(row);
                 }
-                out.push((row.key.clone(), unsafe { row.snapshot() }));
             }
         }
         drop(guard);
+    }
+
+    /// Snapshots all rows whose key satisfies `pred` (vnode migration
+    /// source). Lock-free; snapshots are refcount bumps.
+    pub fn collect_matching(&self, mut pred: impl FnMut(&Key) -> bool) -> Vec<(Key, RowSnapshot)> {
+        let mut out = Vec::new();
+        self.walk(|row| {
+            if pred(&row.key) {
+                // SAFETY: `walk` holds the pin.
+                out.push((row.key.clone(), unsafe { row.snapshot() }));
+            }
+        });
         out
     }
 
@@ -969,61 +933,25 @@ impl MemStore {
         removed
     }
 
-    /// Visits every stored row (snapshot writer). Lock-free; rows written
-    /// concurrently may or may not be seen.
-    pub fn for_each(&self, mut f: impl FnMut(&Key, &[VersionedValue])) {
-        let guard = epoch::pin();
-        for shard in self.shards.iter() {
-            // SAFETY: pinned.
-            let table = unsafe { shard.table() };
-            for slot in table.slots.iter() {
-                if !is_live(slot.meta.load(Ordering::Acquire)) {
-                    continue;
-                }
-                let p = slot.row.load(Ordering::Acquire);
-                if p.is_null() {
-                    continue;
-                }
-                let row = unsafe { &*p };
-                let versions = unsafe { row.peek(&guard) };
-                if !versions.is_empty() {
-                    f(&row.key, versions);
-                }
-            }
-        }
-        drop(guard);
-    }
-
     /// Visits every stored row as a full snapshot — version list *and* row
     /// clock — for the persistence snapshot writer and the anti-entropy
     /// tree builder. Lock-free; snapshots are refcount bumps.
     pub fn for_each_row(&self, mut f: impl FnMut(&Key, &RowSnapshot)) {
-        let guard = epoch::pin();
-        for shard in self.shards.iter() {
-            // SAFETY: pinned.
-            let table = unsafe { shard.table() };
-            for slot in table.slots.iter() {
-                if !is_live(slot.meta.load(Ordering::Acquire)) {
-                    continue;
-                }
-                let p = slot.row.load(Ordering::Acquire);
-                if p.is_null() {
-                    continue;
-                }
-                let row = unsafe { &*p };
-                let snap = unsafe { row.snapshot() };
-                if !snap.is_empty() {
-                    f(&row.key, &snap);
-                }
+        self.walk(|row| {
+            // SAFETY: `walk` holds the pin.
+            let snap = unsafe { row.snapshot() };
+            // A writer may have emptied the row since the peek.
+            if !snap.is_empty() {
+                f(&row.key, &snap);
             }
-        }
-        drop(guard);
+        });
     }
 
-    /// Number of rows with data.
+    /// Number of rows with data. Counts from borrowed peeks — no per-row
+    /// refcount traffic — because nodes call it on every stats tick.
     pub fn len(&self) -> usize {
         let mut n = 0;
-        self.for_each(|_, _| n += 1);
+        self.walk(|_| n += 1);
         n
     }
 
@@ -1389,7 +1317,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_versions_repairs_without_dirtying() {
+    fn merge_row_repairs_without_dirtying() {
         let s = store();
         let k = Key::from("rep");
         s.write_all(&k, ts(5, 1), Value::from("mine"));
@@ -1404,8 +1332,11 @@ mod tests {
                 value: Value::from("stale"),
             },
         ];
-        assert!(s.merge_versions(&k, &incoming));
-        assert!(!s.merge_versions(&k, &incoming), "idempotent");
+        assert!(s.merge_row(&k, &incoming, &CausalContext::EMPTY));
+        assert!(
+            !s.merge_row(&k, &incoming, &CausalContext::EMPTY),
+            "idempotent"
+        );
         assert!(s.scan_dirty().is_empty(), "repair fires no triggers");
         let list = s.read_all(&k).unwrap();
         assert_eq!(list.len(), 2);
@@ -1430,7 +1361,7 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_every_row() {
+    fn for_each_row_visits_every_row() {
         let s = store();
         for i in 0..20 {
             s.write_latest(
@@ -1440,8 +1371,8 @@ mod tests {
             );
         }
         let mut n = 0;
-        s.for_each(|_, versions| {
-            assert_eq!(versions.len(), 1);
+        s.for_each_row(|_, snap| {
+            assert_eq!(snap.len(), 1);
             n += 1;
         });
         assert_eq!(n, 20);
@@ -1472,18 +1403,15 @@ mod tests {
         let mut expected = Vec::new();
         for op in &ops {
             let was_new = !seq.contains(&op.key);
-            let outcome = if op.latest {
-                seq.write_latest(&op.key, op.ts, op.value.clone())
-            } else {
-                seq.write_all(&op.key, op.ts, op.value.clone())
-            };
-            expected.push(BatchWriteResult { outcome, was_new });
+            let res = seq.write(op);
+            assert_eq!(res.was_new, was_new, "{:?}", op.key);
+            expected.push(res);
         }
         let got = bat.apply_batch(&ops);
         assert_eq!(got, expected);
         // Stores end up identical, row by row.
-        seq.for_each(|k, versions| {
-            assert_eq!(bat.read_all(k).as_deref(), Some(versions), "{k:?}");
+        seq.for_each_row(|k, snap| {
+            assert_eq!(bat.read_all(k).as_ref(), Some(snap), "{k:?}");
         });
         assert_eq!(seq.len(), bat.len());
         assert_eq!(seq.payload_bytes(), bat.payload_bytes());
@@ -1621,8 +1549,8 @@ mod tests {
         });
         let key = Key::from("cart");
         // Two writers with empty contexts: concurrent dots, both retained.
-        s.write_all_ctx(&key, ts(10, 1), Value::from("a"), &CausalContext::EMPTY);
-        s.write_all_ctx(&key, ts(10, 2), Value::from("b"), &CausalContext::EMPTY);
+        s.write_all(&key, ts(10, 1), Value::from("a"));
+        s.write_all(&key, ts(10, 2), Value::from("b"));
         let e = s.engine_stats();
         assert_eq!(e.sibling_set.count, 2, "both applied writes recorded");
         assert_eq!(e.sibling_set.min, 1, "first write holds one version");
@@ -1632,7 +1560,13 @@ mod tests {
         let mut ctx = CausalContext::EMPTY;
         ctx.observe(&ts(10, 1));
         ctx.observe(&ts(10, 2));
-        s.write_all_ctx(&key, ts(20, 1), Value::from("merged"), &ctx);
+        s.write(&BatchWrite {
+            key: key.clone(),
+            ts: ts(20, 1),
+            value: Value::from("merged"),
+            ctx,
+            latest: false,
+        });
         let e = s.engine_stats();
         assert_eq!(e.sibling_set.count, 3);
         assert_eq!(s.read_all(&key).unwrap().as_slice().len(), 1);
@@ -1654,6 +1588,13 @@ mod tests {
         let e = s.engine_stats();
         assert_eq!(e.batch_applies, 1);
         assert_eq!(e.batch_ops, 10);
+        // An empty batch is not an apply: no counter, no lock, no pin.
+        assert!(s.apply_batch(&[]).is_empty());
+        assert!(s.get_many(&[]).is_empty());
+        let after = s.engine_stats();
+        assert_eq!(after.batch_applies, 1);
+        // The only locks since `e` are `engine_stats`' own, one per shard.
+        assert_eq!(after.locks, e.locks + s.shards.len() as u64);
         // Single-threaded: the try_lock fast path never waits.
         assert_eq!(e.lock_waits, 0);
         assert_eq!(e.lock_wait.count, 0);

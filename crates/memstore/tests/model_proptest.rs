@@ -2,13 +2,9 @@
 //! simple single-threaded reference model for any interleaving of
 //! `write_latest` / `write_all` / `read_*` / `remove` / `merge`.
 //!
-//! Two oracles, one per versioning mode:
-//!
-//! * [`DvvModel`] — the default dotted-version-vector semantics: rows carry
-//!   a causal clock, pruned dots stay dead (no resurrection on merge or
-//!   replay), `write_latest` collapses under the last-writer-wins policy.
-//! * [`LegacyModel`] — `legacy_timestamps: true`, the paper's bare
-//!   timestamp comparison with no clock bookkeeping.
+//! The oracle, [`DvvModel`], is the dotted-version-vector semantics: rows
+//! carry a causal clock, pruned dots stay dead (no resurrection on merge or
+//! replay), `write_latest` collapses under the last-writer-wins policy.
 
 use proptest::prelude::*;
 use sedna_common::{CausalContext, Key, NodeId, Timestamp, Value};
@@ -48,78 +44,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Single-threaded reference semantics of a legacy (bare-timestamp) row.
-#[derive(Default)]
-struct LegacyModel {
-    rows: HashMap<u8, Vec<VersionedValue>>,
-}
-
-impl LegacyModel {
-    fn write_latest(&mut self, key: u8, ts: Timestamp, value: Value) -> WriteOutcome {
-        let row = self.rows.entry(key).or_default();
-        let cur = row.iter().map(|v| v.ts).max().unwrap_or(Timestamp::ZERO);
-        if ts < cur {
-            WriteOutcome::Outdated
-        } else if ts == cur && !row.is_empty() {
-            WriteOutcome::Ok
-        } else {
-            row.clear();
-            row.push(VersionedValue { ts, value });
-            WriteOutcome::Ok
-        }
-    }
-
-    fn write_all(&mut self, key: u8, ts: Timestamp, value: Value) -> WriteOutcome {
-        let row = self.rows.entry(key).or_default();
-        match row.iter_mut().find(|v| v.ts.origin == ts.origin) {
-            Some(slot) => {
-                if ts < slot.ts {
-                    WriteOutcome::Outdated
-                } else if ts == slot.ts {
-                    WriteOutcome::Ok
-                } else {
-                    slot.ts = ts;
-                    slot.value = value;
-                    WriteOutcome::Ok
-                }
-            }
-            None => {
-                row.push(VersionedValue { ts, value });
-                WriteOutcome::Ok
-            }
-        }
-    }
-
-    fn merge(&mut self, key: u8, incoming: &[VersionedValue]) {
-        let row = self.rows.entry(key).or_default();
-        for inc in incoming {
-            match row.iter_mut().find(|v| v.ts.origin == inc.ts.origin) {
-                Some(slot) => {
-                    if inc.ts > slot.ts {
-                        *slot = inc.clone();
-                    }
-                }
-                None => row.push(inc.clone()),
-            }
-        }
-    }
-
-    fn read_latest(&self, key: u8) -> Option<VersionedValue> {
-        self.rows
-            .get(&key)
-            .filter(|r| !r.is_empty())
-            .and_then(|r| r.iter().max_by_key(|v| v.ts).cloned())
-    }
-
-    fn read_all(&self, key: u8) -> Option<Vec<VersionedValue>> {
-        self.rows.get(&key).filter(|r| !r.is_empty()).cloned()
-    }
-
-    fn remove(&mut self, key: u8) -> bool {
-        self.rows.remove(&key).is_some_and(|r| !r.is_empty())
-    }
-}
-
 /// One clock-carrying row of the DVV reference model.
 #[derive(Default)]
 struct DvvRow {
@@ -155,7 +79,7 @@ impl DvvModel {
         if let Some(out) = Self::gate(row, ts) {
             return out;
         }
-        // Last-writer-wins collapse keeps the legacy reply contract.
+        // Last-writer-wins collapse keeps the paper's reply contract.
         let max = row
             .vals
             .iter()
@@ -249,13 +173,16 @@ fn sorted(mut list: Vec<VersionedValue>) -> Vec<VersionedValue> {
     list
 }
 
-/// Replays `ops` against a store and a pair of closures implementing the
-/// matching reference model, asserting agreement op-by-op and at the end.
-macro_rules! run_model {
-    ($store:expr, $model:expr, $ops:expr) => {{
-        let store = $store;
-        let mut model = $model;
-        for op in $ops {
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Replays `ops` against a store and the reference model, asserting
+    /// agreement op-by-op and at the end.
+    #[test]
+    fn store_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+        let store = MemStore::new(StoreConfig { shards: 4, memory_budget: None, ..StoreConfig::default() });
+        let mut model = DvvModel::default();
+        for op in ops {
             match op {
                 Op::WriteLatest {
                     key,
@@ -299,7 +226,7 @@ macro_rules! run_model {
                         ts: ts(micros, origin),
                         value: val(micros, origin),
                     }];
-                    store.merge_versions(&key_of(key), &incoming);
+                    store.merge_row(&key_of(key), &incoming, &CausalContext::EMPTY);
                     model.merge(key, &incoming);
                 }
             }
@@ -310,27 +237,6 @@ macro_rules! run_model {
             let want = model.read_all(key).map(sorted);
             prop_assert_eq!(got, want);
         }
-    }};
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn store_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let store = MemStore::new(StoreConfig { shards: 4, memory_budget: None, ..StoreConfig::default() });
-        run_model!(store, DvvModel::default(), ops);
-    }
-
-    #[test]
-    fn legacy_store_matches_legacy_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let store = MemStore::new(StoreConfig {
-            shards: 4,
-            memory_budget: None,
-            legacy_timestamps: true,
-            ..StoreConfig::default()
-        });
-        run_model!(store, LegacyModel::default(), ops);
     }
 
     #[test]

@@ -341,9 +341,9 @@ impl AlertEngine {
             // Timestamp-shadowed client writes: a replica answering
             // `Outdated` to a fresh client write means a concurrent update
             // was silently dominated by wall-clock order — the lost-update
-            // signature of legacy (non-DVV) timestamps under skew. DVV
-            // clusters only produce these on duplicate deliveries, so a
-            // small budget separates the two cleanly.
+            // signature of timestamp last-writer-wins under clock skew.
+            // Sibling-retaining tables only produce these on replays of a
+            // superseded dot, so a small budget separates the two cleanly.
             SloSpec::degraded_ratio(
                 "lost_writes",
                 "timestamp-shadowed (potentially lost) writes below 2% of writes",

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use parking_lot::Mutex;
 use sedna_common::time::Micros;
 use sedna_common::{CausalContext, Key, SednaResult, Timestamp, Value};
-use sedna_memstore::MemStore;
+use sedna_memstore::{BatchWrite, MemStore};
 
 use crate::snapshot::{load_snapshot, write_snapshot};
 use crate::wal::{Wal, WalRecord};
@@ -206,31 +206,40 @@ impl PersistEngine {
             Wal::repair(&wal_path)?;
             replayed = records.len() as u64;
             for r in records {
-                match r {
-                    WalRecord::WriteLatest {
-                        key,
-                        ts,
-                        value,
-                        ctx,
-                    } => {
-                        store.write_latest_ctx(&key, ts, value, &ctx);
-                    }
-                    WalRecord::WriteAll {
-                        key,
-                        ts,
-                        value,
-                        ctx,
-                    } => {
-                        store.write_all_ctx(&key, ts, value, &ctx);
-                    }
-                    WalRecord::Remove { key } => {
-                        store.remove(&key);
-                    }
-                }
+                apply_record(store, r);
             }
         }
         Ok((rows, replayed))
     }
+}
+
+/// Applies one replayed WAL record to `store`.
+fn apply_record(store: &MemStore, record: WalRecord) {
+    let (key, ts, value, ctx, latest) = match record {
+        WalRecord::WriteLatest {
+            key,
+            ts,
+            value,
+            ctx,
+        } => (key, ts, value, ctx, true),
+        WalRecord::WriteAll {
+            key,
+            ts,
+            value,
+            ctx,
+        } => (key, ts, value, ctx, false),
+        WalRecord::Remove { key } => {
+            store.remove(&key);
+            return;
+        }
+    };
+    store.write(&BatchWrite {
+        key,
+        ts,
+        value,
+        ctx,
+        latest,
+    });
 }
 
 /// The error a dead engine returns for every append: the process hosting

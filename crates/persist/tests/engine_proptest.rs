@@ -220,7 +220,13 @@ proptest! {
         engine2
             .note_write(&Key::from("post"), Timestamp::new(9_999, 0, NodeId(3)), &Value::from("p"), &post_ctx, true)
             .unwrap();
-        recovered.write_latest_ctx(&Key::from("post"), Timestamp::new(9_999, 0, NodeId(3)), Value::from("p"), &post_ctx);
+        recovered.write(&BatchWrite {
+            key: Key::from("post"),
+            ts: Timestamp::new(9_999, 0, NodeId(3)),
+            value: Value::from("p"),
+            ctx: post_ctx,
+            latest: true,
+        });
         drop(engine2);
         let again = MemStore::new(StoreConfig::default());
         PersistEngine::new(&dir, mode).unwrap().recover(&again).unwrap();

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sedna_common::{CausalContext, Key, NodeId, Timestamp, Value};
-use sedna_memstore::{MemStore, StoreConfig};
+use sedna_memstore::{BatchWrite, MemStore, StoreConfig};
 use sedna_persist::wal::{Wal, WalRecord};
 use sedna_persist::{load_snapshot, write_snapshot};
 use std::path::PathBuf;
@@ -159,10 +159,10 @@ proptest! {
         for r in recs.iter().map(to_wal) {
             match r {
                 WalRecord::WriteLatest { key, ts, value, ctx } => {
-                    store.write_latest_ctx(&key, ts, value, &ctx);
+                    store.write(&BatchWrite { key, ts, value, ctx, latest: true });
                 }
                 WalRecord::WriteAll { key, ts, value, ctx } => {
-                    store.write_all_ctx(&key, ts, value, &ctx);
+                    store.write(&BatchWrite { key, ts, value, ctx, latest: false });
                 }
                 WalRecord::Remove { key } => {
                     store.remove(&key);
