@@ -54,53 +54,6 @@ fn bench_memstore(c: &mut Criterion) {
     g.finish();
 }
 
-/// Contended reads: several threads hammer one hot key. The lock-free
-/// read path should hold its single-thread cost; a mutex engine would
-/// serialize here. Reported as aggregate time per read.
-fn bench_memstore_contended(c: &mut Criterion) {
-    use std::sync::Barrier;
-
-    let w = PaperWorkload::new();
-    let store = std::sync::Arc::new(MemStore::new(StoreConfig::default()));
-    let hot = w.key(0);
-    store.write_latest(&hot, ts(1), w.value());
-
-    let mut g = c.benchmark_group("memstore_contended");
-    g.throughput(Throughput::Elements(1));
-    for threads in [2usize, 4] {
-        g.bench_function(&format!("read_latest_hot_key_{threads}_threads"), |b| {
-            b.iter_custom(|iters| {
-                let per_thread = iters.div_ceil(threads as u64);
-                let barrier = Barrier::new(threads + 1);
-                let mut elapsed = std::time::Duration::ZERO;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|_| {
-                            let (store, hot, barrier) = (&store, &hot, &barrier);
-                            s.spawn(move || {
-                                barrier.wait();
-                                for _ in 0..per_thread {
-                                    std::hint::black_box(store.read_latest(hot));
-                                }
-                            })
-                        })
-                        .collect();
-                    barrier.wait();
-                    let t0 = std::time::Instant::now();
-                    for h in handles {
-                        h.join().unwrap();
-                    }
-                    // Aggregate: wall time covers threads×per_thread reads,
-                    // scaled back to the `iters` criterion asked for.
-                    elapsed = t0.elapsed() / threads as u32;
-                });
-                elapsed
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_ring(c: &mut Criterion) {
     let mut g = c.benchmark_group("ring");
     let part = Partitioner::for_max_nodes(1_000); // 100k vnodes
@@ -167,12 +120,12 @@ fn bench_quorum(c: &mut Criterion) {
 fn bench_triggers(c: &mut Criterion) {
     use sedna_common::time::ManualClock;
     use sedna_triggers::LocalSink;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     let mut g = c.benchmark_group("triggers");
-    let store = Arc::new(MemStore::new(StoreConfig::default()));
+    let store = Rc::new(MemStore::new(StoreConfig::default()));
     let engine = TriggerEngine::new();
-    let sink = LocalSink::new(Arc::clone(&store), NodeId(9), ManualClock::new());
+    let sink = LocalSink::new(Rc::clone(&store), NodeId(9), ManualClock::new());
     engine.register_job(
         &store,
         JobSpec::builder("bench")
@@ -250,7 +203,6 @@ fn bench_hashing(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_memstore,
-    bench_memstore_contended,
     bench_ring,
     bench_quorum,
     bench_triggers,

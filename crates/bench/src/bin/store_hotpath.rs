@@ -1,28 +1,30 @@
-//! Store hot-path benchmark: lock-free reads under contention, plus an
+//! Store hot-path benchmark: single-owner engine cost per op, plus an
 //! allocation count.
 //!
-//! Two measurements, written to `BENCH_store.json`:
+//! One thread — a store has exactly one owner — runs `read_latest`,
+//! `read_all` and an overwriting `write_latest` over a preloaded table of
+//! [`ROWS`] rows, visiting keys in a cache-unfriendly stride. For each op
+//! it reports wall-clock ns/op and, from a counting global allocator, heap
+//! allocations per op, and writes both to `BENCH_store.json`. The
+//! single-version reads (`read_latest` and snapshot `read_all`) must be
+//! allocation-free; the run fails otherwise.
 //!
-//! * **Contended single-key reads** — T threads hammer one hot key
-//!   through the epoch-pinned lock-free path. Readers never block, so
-//!   aggregate throughput must not collapse as threads are added.
-//! * **Allocation count** — a counting global allocator measures heap
-//!   allocations per read. The single-version fast path (`read_latest`
-//!   and snapshot `read_all`) must be allocation-free; the run fails
-//!   otherwise.
-//!
-//! The comparison against the seed's mutex-per-shard engine is a frozen
-//! PR 5 measurement: DESIGN.md §16 and that PR's `BENCH_store.json` in git.
+//! The PR 5 lock-free engine's numbers (and the seed's mutex-per-shard
+//! engine it was compared against) are history: DESIGN.md §16.
 //!
 //! `--quick` shrinks iteration counts for CI smoke runs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
 use std::time::Instant;
 
 use sedna_common::{Key, NodeId, Timestamp, Value};
 use sedna_memstore::{MemStore, StoreConfig};
+
+/// Rows preloaded before measuring (the size of one node's share of the
+/// `read_zipf_large` end-to-end workload).
+const ROWS: u64 = 100_000;
 
 // ---------------------------------------------------------------------------
 // Counting allocator
@@ -57,116 +59,79 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-// ---------------------------------------------------------------------------
-// Contended-read measurement
-// ---------------------------------------------------------------------------
-
 fn ts(micros: u64) -> Timestamp {
     Timestamp::new(micros, 0, NodeId(0))
 }
 
-/// Aggregate single-hot-key read throughput, in million ops/sec, with
-/// `threads` readers doing `per_thread` reads each. Timed from the start
-/// barrier's release to the last reader finishing.
-fn run_contended(threads: usize, per_thread: u64, read: &(impl Fn() + Send + Sync)) -> f64 {
-    let barrier = Barrier::new(threads + 1);
-    let mut elapsed = std::time::Duration::ZERO;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    for _ in 0..per_thread {
-                        read();
-                    }
-                })
-            })
-            .collect();
-        barrier.wait();
-        let t0 = Instant::now();
-        for h in handles {
-            h.join().unwrap();
-        }
-        elapsed = t0.elapsed();
-    });
-    (threads as u64 * per_thread) as f64 / elapsed.as_secs_f64() / 1e6
-}
-
-/// Allocations per op over `n` single-threaded calls.
-fn allocs_per_op(n: u64, op: impl Fn()) -> f64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..n {
-        op();
+/// Runs `op(i)` for `i` in `0..n`; returns `(ns/op, allocs/op)`.
+fn measure(n: u64, mut op: impl FnMut(u64)) -> (f64, f64) {
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let t0 = Instant::now();
+    for i in 0..n {
+        op(i);
     }
-    (ALLOCS.load(Ordering::Relaxed) - before) as f64 / n as f64
+    let nanos = t0.elapsed().as_nanos() as f64;
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs;
+    (nanos / n as f64, allocs as f64 / n as f64)
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let per_thread: u64 = if quick { 200_000 } else { 2_000_000 };
-    let alloc_reads: u64 = if quick { 100_000 } else { 1_000_000 };
-    let thread_counts = [1usize, 2, 4];
+    let ops: u64 = if quick { 200_000 } else { 4_000_000 };
 
-    let hot = Key::from("hot-key-0000000000");
+    let keys: Vec<Key> = (0..ROWS)
+        .map(|i| Key::from(format!("key-{i:012}")))
+        .collect();
     let value = Value::from("x".repeat(20));
-
     let store = MemStore::new(StoreConfig::default());
-    store.write_latest(&hot, ts(1), value);
-
-    // ---- allocation count (single-threaded, quiesced) ----
-    // Warm the thread's epoch registration and drain warm-up garbage so
-    // the measured loop is steady-state.
-    for _ in 0..1_000 {
-        store.read_latest(&hot);
+    for (i, key) in keys.iter().enumerate() {
+        store.write_latest(key, ts(i as u64 + 1), value.clone());
     }
-    crossbeam::epoch::flush();
-    crossbeam::epoch::flush();
-    let lf_read_latest = allocs_per_op(alloc_reads, || {
-        std::hint::black_box(store.read_latest(&hot));
-    });
-    let lf_read_all = allocs_per_op(alloc_reads, || {
-        std::hint::black_box(store.read_all(&hot));
-    });
+    // A stride coprime to ROWS walks the keys in a cache-unfriendly order.
+    let pick = |i: u64| &keys[((i * 7_919) % ROWS) as usize];
 
-    println!("# store_hotpath — allocation count ({alloc_reads} single-version reads)");
-    println!("{:>28} {:>12}", "path", "allocs/op");
-    for (label, a) in [
-        ("lockfree read_latest", lf_read_latest),
-        ("lockfree read_all(snapshot)", lf_read_all),
-    ] {
-        println!("{label:>28} {a:>12.4}");
-    }
+    let results = [
+        (
+            "read_latest",
+            measure(ops, |i| {
+                black_box(store.read_latest(pick(i)));
+            }),
+        ),
+        (
+            "read_all",
+            measure(ops, |i| {
+                black_box(store.read_all(pick(i)));
+            }),
+        ),
+        (
+            "write_latest",
+            measure(ops, |i| {
+                black_box(store.write_latest(pick(i), ts(ROWS + 1 + i), value.clone()));
+            }),
+        ),
+    ];
 
-    // ---- contended single-key reads ----
-    println!("#");
-    println!("# contended reads — every thread hammers the same key ({per_thread} reads/thread)");
-    println!("{:>8} {:>16}", "threads", "lockfree_mops");
+    println!("# store_hotpath — one owner thread, {ROWS} rows, {ops} ops per row below");
+    println!("{:>14} {:>10} {:>12}", "op", "ns/op", "allocs/op");
     let mut json_rows = Vec::new();
-    for &t in &thread_counts {
-        let lf = run_contended(t, per_thread, &|| {
-            std::hint::black_box(store.read_latest(&hot));
-        });
-        println!("{t:>8} {lf:>16.2}");
+    for (op, (ns, allocs)) in results {
+        println!("{op:>14} {ns:>10.1} {allocs:>12.4}");
         json_rows.push(format!(
-            "    {{ \"threads\": {t}, \"lockfree_mops\": {lf:.3} }}"
+            "  \"{op}\": {{ \"ns_per_op\": {ns:.1}, \"allocs_per_op\": {allocs:.4} }}"
         ));
     }
-
     let json = format!(
         "{{\n  \"bench\": \"store_hotpath\",\n  \"config\": {{\n    \"quick\": {quick},\n    \
-         \"reads_per_thread\": {per_thread},\n    \"alloc_ablation_reads\": {alloc_reads},\n    \
-         \"value_bytes\": 20,\n    \"shards\": 16\n  }},\n  \"contended_read\": [\n{}\n  ],\n  \
-         \"alloc_ablation\": {{\n    \"lockfree_read_latest_allocs_per_op\": {lf_read_latest:.4},\n    \
-         \"lockfree_read_all_allocs_per_op\": {lf_read_all:.4}\n  }}\n}}\n",
+         \"rows\": {ROWS},\n    \"ops\": {ops},\n    \"value_bytes\": 20\n  }},\n{}\n}}\n",
         json_rows.join(",\n"),
     );
     std::fs::write("BENCH_store.json", json).expect("write BENCH_store.json");
     println!("# wrote BENCH_store.json");
 
+    let [(_, (_, read_latest)), (_, (_, read_all)), _] = results;
     assert!(
-        lf_read_latest == 0.0 && lf_read_all == 0.0,
-        "single-version read fast path must be allocation-free \
-         (read_latest {lf_read_latest}, read_all {lf_read_all})"
+        read_latest == 0.0 && read_all == 0.0,
+        "single-version reads must be allocation-free \
+         (read_latest {read_latest}, read_all {read_all})"
     );
 }

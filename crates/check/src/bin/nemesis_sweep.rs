@@ -186,7 +186,7 @@ fn write_artifact(
     std::fs::write(&metrics_path, &report.metrics_json)?;
     writeln!(f, "\nmetrics snapshot: {}", metrics_path.display())?;
     // Black-box flight recording frozen at the moment the violation was
-    // detected: the last ~256 engine/epoch events per thread.
+    // detected: the last ~256 engine events per thread.
     if let Some(flight) = &report.flight_json {
         let flight_path = dir.join(format!("seed-{}-flight.json", report.seed));
         std::fs::write(&flight_path, flight)?;

@@ -19,9 +19,7 @@
 //!   windowed ts-delta / age / convergence histograms, outstanding repair
 //!   pushes, and a derived cluster ops/sec rate.
 //! * `/internals`  — per-node engine internals as JSON: probe lengths,
-//!   writer-mutex waits, rehashes, eviction sampling quality, slab
-//!   occupancy, and the epoch-reclamation stats (pins, pending backlog,
-//!   retire→free latency).
+//!   rehashes, eviction sampling quality, batch shapes and slab occupancy.
 //! * `/flight`     — the process-wide flight recorder: per-thread event
 //!   rings plus the anomaly dumps that froze them, as JSON.
 //! * `/profile`    — the continuous profiler: hottest scope stacks
@@ -734,10 +732,7 @@ impl AdminActor {
         out
     }
 
-    /// Per-node engine internals. Note the `epoch` block is process-wide
-    /// (the reclamation shim is shared by every store in this process);
-    /// in-process multi-node deployments will show the same epoch figures
-    /// on every node row.
+    /// Per-node engine internals.
     fn render_internals(&self) -> String {
         let mut out = String::from("{\"nodes\":[");
         let mut first = true;
@@ -750,14 +745,7 @@ impl AdminActor {
             }
             first = false;
             out.push_str(&format!("{{\"node\":{},", node.0));
-            out.push_str(&format!(
-                "\"probe_len\":{},\"locks\":{},\"lock_waits\":{},\"lock_contention\":{:.6},\"lock_wait_micros\":{},",
-                hist_json(&e.probe_len),
-                e.locks,
-                e.lock_waits,
-                e.lock_contention(),
-                hist_json(&e.lock_wait),
-            ));
+            out.push_str(&format!("\"probe_len\":{},", hist_json(&e.probe_len)));
             out.push_str(&format!(
                 "\"rehashes\":{},\"rehash_rows_moved\":{},\"evict_rounds\":{},\"evict_sampled\":{},\
                  \"evict_exact_rounds\":{},\"evict_sample_mean\":{:.3},\"batch_applies\":{},\"batch_ops\":{},",
@@ -772,7 +760,7 @@ impl AdminActor {
             ));
             out.push_str(&format!(
                 "\"live_rows\":{},\"tombstones\":{},\"table_slots\":{},\"slab_pages\":{},\
-                 \"slab_cells\":{},\"slab_free_cells\":{},\"slab_occupancy\":{:.6},",
+                 \"slab_cells\":{},\"slab_free_cells\":{},\"slab_occupancy\":{:.6}}}",
                 e.live_rows,
                 e.tombstones,
                 e.table_slots,
@@ -780,27 +768,6 @@ impl AdminActor {
                 e.slab_cells,
                 e.slab_free_cells,
                 e.slab_occupancy(),
-            ));
-            let ep = &e.epoch;
-            out.push_str(&format!(
-                "\"epoch\":{{\"epoch\":{},\"pins\":{},\"depth_hist\":{:?},\"retires\":{},\
-                 \"frees\":{},\"pending\":{},\"bag_len\":{},\"bag_peak\":{},\"collects\":{},\
-                 \"advances\":{},\"orphaned\":{},\"retire_free_p50\":{},\"retire_free_p99\":{},\
-                 \"retire_free_max\":{}}}}}",
-                ep.epoch,
-                ep.pins,
-                ep.depth_hist,
-                ep.retires,
-                ep.frees,
-                ep.pending,
-                ep.bag_len,
-                ep.bag_peak,
-                ep.collects,
-                ep.advances,
-                ep.orphaned,
-                ep.retire_free_latency.percentile(0.5),
-                ep.retire_free_latency.percentile(0.99),
-                ep.retire_free_latency.max,
             ));
         }
         out.push_str("]}");

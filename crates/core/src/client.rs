@@ -726,7 +726,7 @@ impl ClientObs {
         );
         registry.describe(
             "sedna_critpath_lock_micros",
-            "Critical-path time the quorum-deciding replica waited on contended shard locks.",
+            "Critical-path time the quorum-deciding replica reported as lock wait (0 since stores are single-owner).",
         );
         registry.describe(
             "sedna_critpath_apply_micros",

@@ -35,7 +35,7 @@ fn ensemble_config(cfg: &ClusterConfig) -> EnsembleConfig {
 }
 
 /// Wires the continuous profiler into the process: installs the
-/// parking_lot shim's contention hooks (so contended shard-lock waits are
+/// parking_lot shim's contention hooks (so contended mutex waits are
 /// attributed to the holder's scope) and starts the ~997 Hz scope-stack
 /// sampler thread. Idempotent and process-global; [`ThreadCluster`] calls
 /// it on start, standalone binaries (benches, the repl) may too. The

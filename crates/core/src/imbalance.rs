@@ -21,20 +21,12 @@ pub const TOP_K: usize = 8;
 
 /// Compact engine-internals roll-up gossiped alongside the load row, so the
 /// manager (and `/vnodes`-style consumers of the imbalance table) can see a
-/// node degrading *inside* — reclamation backlog, probe decay, writer-mutex
-/// convoys — before it shows up as external latency.
+/// node degrading *inside* — probe decay, rehash storms, a slab that stopped
+/// recycling, eviction pressure — before it shows up as external latency.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineSummary {
-    /// Epoch-retired allocations not yet freed (reclamation backlog).
-    pub pending_reclaim: u64,
-    /// Peak deferred-bag length seen by any thread.
-    pub bag_peak: u64,
-    /// p99 reader probe length (slots inspected per lookup), sampled.
+    /// p99 probe length (slots inspected per lookup), sampled.
     pub probe_p99: u64,
-    /// Writer-mutex acquisitions.
-    pub locks: u64,
-    /// Acquisitions that found the mutex held.
-    pub lock_waits: u64,
     /// Table rehashes.
     pub rehashes: u64,
     /// Slab pages allocated.
@@ -49,11 +41,7 @@ impl EngineSummary {
     /// Condenses a full [`EngineSnapshot`] into the gossiped roll-up.
     pub fn from_snapshot(snap: &EngineSnapshot) -> EngineSummary {
         EngineSummary {
-            pending_reclaim: snap.epoch.pending,
-            bag_peak: snap.epoch.bag_peak,
             probe_p99: snap.probe_len.percentile(0.99),
-            locks: snap.locks,
-            lock_waits: snap.lock_waits,
             rehashes: snap.rehashes,
             slab_pages: snap.slab_pages,
             slab_free_cells: snap.slab_free_cells,
@@ -62,13 +50,9 @@ impl EngineSummary {
     }
 
     /// Field values in wire order (the section is `count || fields`).
-    fn fields(&self) -> [u64; 9] {
+    fn fields(&self) -> [u64; 5] {
         [
-            self.pending_reclaim,
-            self.bag_peak,
             self.probe_p99,
-            self.locks,
-            self.lock_waits,
             self.rehashes,
             self.slab_pages,
             self.slab_free_cells,
@@ -218,21 +202,17 @@ impl ImbalanceRow {
             if n == 0 || bytes.len() < off + n * 8 {
                 return None;
             }
-            let mut fields = [0u64; 9];
-            for (i, f) in fields.iter_mut().enumerate().take(n.min(9)) {
+            let mut fields = [0u64; 5];
+            for (i, f) in fields.iter_mut().enumerate().take(n.min(5)) {
                 *f = u64::from_le_bytes(bytes[off + i * 8..off + i * 8 + 8].try_into().ok()?);
             }
             off += n * 8;
             engine = Some(EngineSummary {
-                pending_reclaim: fields[0],
-                bag_peak: fields[1],
-                probe_p99: fields[2],
-                locks: fields[3],
-                lock_waits: fields[4],
-                rehashes: fields[5],
-                slab_pages: fields[6],
-                slab_free_cells: fields[7],
-                evict_rounds: fields[8],
+                probe_p99: fields[0],
+                rehashes: fields[1],
+                slab_pages: fields[2],
+                slab_free_cells: fields[3],
+                evict_rounds: fields[4],
             });
         }
         if off != bytes.len() {
@@ -383,11 +363,7 @@ mod tests {
                 count: 5,
             }])
             .with_engine(EngineSummary {
-                pending_reclaim: 12,
-                bag_peak: 30,
                 probe_p99: 4,
-                locks: 1000,
-                lock_waits: 7,
                 rehashes: 2,
                 slab_pages: 3,
                 slab_free_cells: 40,
@@ -395,8 +371,8 @@ mod tests {
             });
         let back = ImbalanceRow::decode(&row.encode()).unwrap();
         assert_eq!(row, back);
-        assert_eq!(back.engine.as_ref().unwrap().pending_reclaim, 12);
         assert_eq!(back.engine.as_ref().unwrap().probe_p99, 4);
+        assert_eq!(back.engine.as_ref().unwrap().evict_rounds, 6);
     }
 
     #[test]
@@ -408,15 +384,15 @@ mod tests {
         // A future node advertising one extra field still decodes; the
         // extra is ignored.
         let row = plain.clone().with_engine(EngineSummary {
-            pending_reclaim: 9,
+            probe_p99: 9,
             ..EngineSummary::default()
         });
         let mut bytes = row.encode();
-        let count_off = bytes.len() - 9 * 8 - 1;
-        bytes[count_off] = 10;
+        let count_off = bytes.len() - 5 * 8 - 1;
+        bytes[count_off] = 6;
         bytes.extend_from_slice(&77u64.to_le_bytes());
         let back = ImbalanceRow::decode(&bytes).unwrap();
-        assert_eq!(back.engine.as_ref().unwrap().pending_reclaim, 9);
+        assert_eq!(back.engine.as_ref().unwrap().probe_p99, 9);
     }
 
     #[test]
@@ -429,7 +405,7 @@ mod tests {
         assert!(ImbalanceRow::decode(&good[..good.len() - 3]).is_none());
         // Claims more fields than are present.
         let mut bytes = good.clone();
-        let count_off = good.len() - 9 * 8 - 1;
+        let count_off = good.len() - 5 * 8 - 1;
         bytes[count_off] = 20;
         assert!(ImbalanceRow::decode(&bytes).is_none());
         // A zero-field section is never emitted — reject it.

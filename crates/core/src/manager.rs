@@ -220,6 +220,14 @@ impl ClusterManager {
     /// vnode moves), reusing the ring-publish + directive machinery.
     fn maybe_rebalance(&mut self, ctx: &mut Ctx<'_, SednaMsg>) {
         use sedna_ring::ImbalanceTable;
+        // No voluntary move while a member is missing from the poll (it is
+        // probably dead: the move could target it, and its debounced leave
+        // would then replace a second replica of a vnode this round just
+        // changed) or while a ring write is in flight (`publish_ring` would
+        // drop this one and the directives would precede their ring).
+        if !self.absent_polls.is_empty() || self.ring_write_req.is_some() {
+            return;
+        }
         let mut table = ImbalanceTable::default();
         for (&node, row) in &self.imbalance_rows {
             if self.known.contains(&node) {

@@ -80,13 +80,13 @@ pub enum ReplicaOp {
         req: RequestId,
         /// Verdict.
         ack: ReplicaWriteAck,
-        /// Wall-clock nanoseconds the replica held the shard lock while
-        /// applying — reported back so the client can place a node-apply
+        /// Wall-clock nanoseconds the replica spent in its store applying
+        /// this op — reported back so the client can place a node-apply
         /// span inside the op's trace.
         apply_nanos: u64,
-        /// Wall-clock nanoseconds the apply *waited* on contended shard
-        /// locks before acquiring them (0 when uncontended) — feeds the
-        /// client's tail critical-path decomposition.
+        /// Always 0: a store has one owner and no lock to wait on. The
+        /// field feeds the `lock` segment of the client's critical-path
+        /// decomposition and goes when that does (ROADMAP Open item 5).
         lock_nanos: u64,
     },
     /// Replica read.
@@ -104,11 +104,10 @@ pub enum ReplicaOp {
         req: RequestId,
         /// Reply.
         reply: ReplicaReadReply,
-        /// Shard-lock hold time on the replica, in nanoseconds (see
+        /// Store-apply time on the replica, in nanoseconds (see
         /// [`ReplicaOp::WriteAck::apply_nanos`]).
         apply_nanos: u64,
-        /// Shard-lock *wait* time within the apply, in nanoseconds (see
-        /// [`ReplicaOp::WriteAck::lock_nanos`]).
+        /// Always 0 (see [`ReplicaOp::WriteAck::lock_nanos`]).
         lock_nanos: u64,
     },
     /// Read-repair push: merge these versions. The replica acknowledges

@@ -57,12 +57,12 @@ const T_SYNC: TimerToken = TimerToken(0xDA_05);
 /// quorum writes.
 #[derive(Default)]
 struct BufferSink {
-    writes: parking_lot::Mutex<Vec<(Key, sedna_common::Value, WriteMode)>>,
+    writes: std::cell::RefCell<Vec<(Key, sedna_common::Value, WriteMode)>>,
 }
 
 impl TriggerSink for BufferSink {
     fn apply(&self, key: &Key, value: sedna_common::Value, mode: WriteMode) {
-        self.writes.lock().push((key.clone(), value, mode));
+        self.writes.borrow_mut().push((key.clone(), value, mode));
     }
 }
 
@@ -106,7 +106,7 @@ pub struct NodeStats {
 pub struct SednaNode {
     cfg: ClusterConfig,
     node_id: NodeId,
-    store: Arc<MemStore>,
+    store: MemStore,
     session: SessionClient,
     ring: Option<VNodeMap>,
     ring_req: Option<RequestId>,
@@ -141,7 +141,7 @@ pub struct SednaNode {
 }
 
 /// Node-side observability: a per-node registry whose gauges mirror the
-/// operation counters and store statistics, a shard-lock hold-time
+/// operation counters and store statistics, a store-apply time
 /// histogram fed by every apply, and a bounded event journal. The `Arc`
 /// handles are cloneable before the actor moves into a runtime, which is
 /// how [`crate::cluster::ThreadCluster`] keeps merge access to metrics of
@@ -149,7 +149,7 @@ pub struct SednaNode {
 struct NodeObs {
     registry: Arc<Registry>,
     journal: Arc<EventJournal>,
-    /// Shard-lock hold time per store apply (nanoseconds, wall clock).
+    /// Time per store apply (nanoseconds, wall clock).
     apply_hist: Hist,
     /// Coordination heartbeat round-trip time (µs, virtual clock).
     ping_rtt: Hist,
@@ -182,11 +182,10 @@ impl SednaNode {
     /// Creates the node. `persist` is pre-built so deployments control the
     /// data directory.
     pub fn new(cfg: ClusterConfig, node_id: NodeId, persist: Option<PersistEngine>) -> Self {
-        let store = Arc::new(MemStore::new(StoreConfig {
-            shards: 16,
+        let store = MemStore::new(StoreConfig {
             memory_budget: cfg.memory_budget,
             resolution: cfg.resolution.clone(),
-        }));
+        });
         if let Some(engine) = &persist {
             // Boot-time recovery (snapshot + WAL replay).
             let _ = engine.recover(&store);
@@ -373,22 +372,8 @@ impl SednaNode {
         ] {
             reg.gauge(name).set(v);
         }
-        // Engine internals (store-local only: the epoch shim's stats are
-        // process-wide, so mirroring them per node would multiply under the
-        // cluster-wide gauge merge — `/internals` serves those instead).
         let eng = self.store.engine_stats();
         for (name, v) in [
-            ("sedna_engine_locks", eng.locks),
-            ("sedna_engine_lock_waits", eng.lock_waits),
-            // Alias under the store namespace: shard-lock acquisitions that
-            // missed the try_lock fast path and blocked. Always-on (counted
-            // by the engine, not the profiler) so contention stays visible
-            // with sampling disabled.
-            ("sedna_store_lock_contended", eng.lock_waits),
-            (
-                "sedna_engine_lock_wait_p99_micros",
-                eng.lock_wait.percentile(0.99),
-            ),
             ("sedna_engine_probe_p99", eng.probe_len.percentile(0.99)),
             ("sedna_engine_rehashes", eng.rehashes),
             ("sedna_engine_rehash_rows_moved", eng.rehash_rows_moved),
@@ -723,14 +708,12 @@ impl SednaNode {
                     ctx: wctx,
                     latest: kind == WriteKind::Latest,
                 };
-                sedna_memstore::take_lock_wait_nanos();
                 let t0 = std::time::Instant::now();
                 let res = {
                     sedna_obs::prof_scope!("node.apply_write");
                     self.store.write(&item)
                 };
                 let apply_nanos = t0.elapsed().as_nanos() as u64;
-                let lock_nanos = sedna_memstore::take_lock_wait_nanos();
                 self.obs.apply_hist.record(apply_nanos);
                 let ack = self.finish_write(&item, res, trace, ctx.now());
                 ctx.send(
@@ -739,25 +722,22 @@ impl SednaNode {
                         req,
                         ack,
                         apply_nanos,
-                        lock_nanos,
+                        lock_nanos: 0,
                     }),
                 );
             }
             ReplicaOp::Read { req, key, trace: _ } => {
                 let mut apply_nanos = 0;
-                let mut lock_nanos = 0;
                 let reply = if !self.owns(&key) {
                     self.stats.refused += 1;
                     ReplicaReadReply::Refused
                 } else {
-                    sedna_memstore::take_lock_wait_nanos();
                     let t0 = std::time::Instant::now();
                     let snap = {
                         sedna_obs::prof_scope!("node.apply_read");
                         self.store.read_all(&key)
                     };
                     apply_nanos = t0.elapsed().as_nanos() as u64;
-                    lock_nanos = sedna_memstore::take_lock_wait_nanos();
                     self.obs.apply_hist.record(apply_nanos);
                     self.read_reply(&key, snap)
                 };
@@ -767,7 +747,7 @@ impl SednaNode {
                         req,
                         reply,
                         apply_nanos,
-                        lock_nanos,
+                        lock_nanos: 0,
                     }),
                 );
             }
@@ -1011,12 +991,11 @@ impl SednaNode {
     }
 
     /// Applies a coalesced client frame. Writes funnel through
-    /// [`MemStore::apply_batch`] and reads through [`MemStore::get_many`],
-    /// so each storage shard is locked once per (shard, batch) group
-    /// instead of once per op; any other sub-op takes the normal per-op
-    /// path. Replies are coalesced symmetrically: several acks share one
-    /// [`ReplicaOp::AckBatch`] frame back to the sender (a single ack
-    /// travels bare, exactly like an unbatched reply).
+    /// [`MemStore::apply_batch`] and reads through [`MemStore::get_many`];
+    /// any other sub-op takes the normal per-op path. Replies are coalesced
+    /// symmetrically: several acks share one [`ReplicaOp::AckBatch`] frame
+    /// back to the sender (a single ack travels bare, exactly like an
+    /// unbatched reply).
     fn handle_batch(&mut self, from: ActorId, ops: Vec<ReplicaOp>, ctx: &mut Ctx<'_, SednaMsg>) {
         let n = ops.len();
         let mut acks: Vec<Option<ReplicaOp>> = vec![None; n];
@@ -1081,17 +1060,14 @@ impl SednaNode {
                 other => self.handle_replica(from, other, ctx),
             }
         }
-        // One shard lock covers each (shard, batch) group, so the honest
-        // per-sub-op reading is the whole-group hold time: that is how long
-        // the lock was actually unavailable on account of this frame.
-        sedna_memstore::take_lock_wait_nanos();
+        // Every sub-op reports the whole batch's apply time: that is how
+        // long the store was busy on account of this frame.
         let t0 = std::time::Instant::now();
         let write_results = {
             sedna_obs::prof_scope!("node.apply_batch_write");
             self.store.apply_batch(&write_items)
         };
         let write_nanos = t0.elapsed().as_nanos() as u64;
-        let write_lock_nanos = sedna_memstore::take_lock_wait_nanos();
         if !write_items.is_empty() {
             self.obs.apply_hist.record(write_nanos);
         }
@@ -1103,7 +1079,7 @@ impl SednaNode {
                 req,
                 ack,
                 apply_nanos: write_nanos,
-                lock_nanos: write_lock_nanos,
+                lock_nanos: 0,
             });
         }
         let t0 = std::time::Instant::now();
@@ -1244,11 +1220,8 @@ impl SednaNode {
 
     fn tick(&mut self, ctx: &mut Ctx<'_, SednaMsg>) {
         let now = ctx.now();
-        // Feed the sim clock to the process-wide observability clocks
-        // (fetch_max: multiple in-process nodes only advance them). The
-        // flight recorder stamps its events and the epoch shim measures
-        // retire→free latency against these.
-        crossbeam::epoch::set_clock(now);
+        // Feed the sim clock to the flight recorder's process-wide event
+        // clock (fetch_max: multiple in-process nodes only advance it).
         sedna_obs::flight::set_clock(now);
         // Fail over coordination requests whose replica went silent.
         for (old, (to, m)) in self.session.on_tick(now) {

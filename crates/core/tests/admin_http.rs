@@ -143,7 +143,7 @@ fn admin_surface_serves_all_endpoints() {
         "no exemplar in exposition"
     );
     // Engine-internals gauges are mirrored on the stats tick.
-    assert!(metrics.contains("sedna_engine_locks"));
+    assert!(metrics.contains("sedna_engine_rehashes"));
     assert!(metrics.contains("sedna_engine_slab_pages"));
 
     let (status, vnodes) = http_get(addr, "/vnodes");
@@ -196,10 +196,9 @@ fn admin_surface_serves_all_endpoints() {
     assert!(internals.starts_with("{\"nodes\":["), "body: {internals}");
     assert!(internals.contains("\"probe_len\":{"), "body: {internals}");
     assert!(internals.contains("\"slab_pages\":"), "body: {internals}");
-    assert!(internals.contains("\"epoch\":{"), "body: {internals}");
-    assert!(internals.contains("\"pending\":"), "body: {internals}");
+    assert!(internals.contains("\"rehashes\":"), "body: {internals}");
     assert!(
-        internals.contains("\"retire_free_p99\":"),
+        internals.contains("\"slab_occupancy\":"),
         "body: {internals}"
     );
 
@@ -249,8 +248,6 @@ fn admin_surface_serves_all_endpoints() {
     // The build-info gauge identifies the binary on every scrape.
     assert!(metrics.contains("# TYPE sedna_build_info gauge"));
     assert!(metrics.contains("sedna_build_info{version=\""));
-    // The lock-contention counter is exported even with the profiler off.
-    assert!(metrics.contains("sedna_store_lock_contended"));
 
     // The continuous profiler: the sampler was started by the cluster, and
     // the workload above ran inside `prof_scope!` regions, so by now the

@@ -35,7 +35,6 @@ where
     ) -> Self {
         McServer {
             store: MemStore::new(StoreConfig {
-                shards: 8,
                 memory_budget,
                 ..StoreConfig::default()
             }),

@@ -1,121 +1,36 @@
 //! Engine internals telemetry: the store's own flight instruments.
 //!
-//! [`StoreStats`](crate::stats::StoreStats) counts *logical* operations
-//! (hits, writes, evictions). This module watches the *machinery* those
-//! operations run on — the quantities that explain a latency spike after
-//! the fact:
+//! [`StatsSnapshot`](crate::stats::StatsSnapshot) counts *logical*
+//! operations (hits, writes, evictions). This module watches the
+//! *machinery* those operations run on — the quantities that explain a
+//! latency spike after the fact:
 //!
-//! * **probe lengths** — how far reader probes walk the open-addressing
-//!   table (sampled 1-in-[`PROBE_SAMPLE`] per thread so the lock-free read
-//!   path never gains a shared-cacheline store);
-//! * **writer-mutex waits** — `try_lock` first, so the uncontended path
-//!   costs nothing; only contended acquires are timed and histogrammed;
+//! * **probe lengths** — how far probes walk the open-addressing table
+//!   (sampled 1-in-[`PROBE_SAMPLE`]);
 //! * **rehash events** and rows moved;
 //! * **eviction sampling quality** — rounds, rows examined, and how often
-//!   the sampler degenerated to exact LRU (small shards);
-//! * **batch apply shapes** — calls and ops per call.
+//!   the sampler degenerated to exact LRU (small stores);
+//! * **batch apply shapes** — calls and ops per call;
+//! * **slab occupancy** — pages, cells, free cells.
 //!
-//! Epoch-reclamation telemetry (pin depth, bag sizes, retire→free latency)
-//! lives in the vendored shim itself — see `crossbeam::epoch::stats()` —
-//! and is folded into [`EngineSnapshot`] so one snapshot covers the whole
-//! hot path. Low-level events (shard-lock waits, rehashes, evictions,
-//! epoch transitions) additionally stream into the process-wide flight
-//! recorder ([`sedna_obs::flight`]); [`MemStore::new`](crate::MemStore::new)
-//! installs the shim's event hook so epoch events land there too.
+//! The store keeps one [`EngineSnapshot`] inside its cell and bumps it in
+//! place; [`MemStore::engine_stats`](crate::MemStore::engine_stats) hands
+//! out a copy with the physical sizes filled in. Rehashes, evictions and
+//! batch applies additionally stream into the process-wide flight recorder
+//! ([`sedna_obs::flight`]).
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use sedna_obs::HistSnapshot;
 
-use sedna_obs::{HistSnapshot, Histogram};
-
-/// Reader probe lengths are recorded once per this many probes per thread.
+/// Probe lengths are recorded once per this many probes per store.
 pub const PROBE_SAMPLE: u64 = 64;
 
-/// Internal counters; one instance per store, updated lock-free.
-pub(crate) struct EngineStats {
-    /// Sampled reader probe lengths (slots inspected per lookup).
-    pub probe_len: Histogram,
-    /// Writer-mutex acquisitions.
-    pub locks: AtomicU64,
-    /// Acquisitions that found the mutex held.
-    pub lock_waits: AtomicU64,
-    /// Wait time of contended acquisitions, µs.
-    pub lock_wait_micros: Histogram,
-    /// Table rehashes (grow or tombstone cleanup).
-    pub rehashes: AtomicU64,
-    /// Rows reinserted across all rehashes.
-    pub rehash_rows_moved: AtomicU64,
-    /// Eviction rounds run.
-    pub evict_rounds: AtomicU64,
-    /// Live rows examined across all rounds.
-    pub evict_sampled: AtomicU64,
-    /// Rounds that saw every candidate (exact LRU, not an approximation).
-    pub evict_exact_rounds: AtomicU64,
-    /// `apply_batch` calls.
-    pub batch_applies: AtomicU64,
-    /// Writes submitted through `apply_batch`.
-    pub batch_ops: AtomicU64,
-    /// Sibling-set sizes after each row mutation (write or merge): the
-    /// number of live concurrent versions the row holds. Under LWW this
-    /// pegs at 1; under DVV sibling tables it measures how much causal
-    /// concurrency the workload actually produces — the signal the
-    /// divergence observatory reads.
-    pub sibling_set: Histogram,
-}
-
-impl EngineStats {
-    pub fn new() -> EngineStats {
-        EngineStats {
-            probe_len: Histogram::new(),
-            locks: AtomicU64::new(0),
-            lock_waits: AtomicU64::new(0),
-            lock_wait_micros: Histogram::new(),
-            rehashes: AtomicU64::new(0),
-            rehash_rows_moved: AtomicU64::new(0),
-            evict_rounds: AtomicU64::new(0),
-            evict_sampled: AtomicU64::new(0),
-            evict_exact_rounds: AtomicU64::new(0),
-            batch_applies: AtomicU64::new(0),
-            batch_ops: AtomicU64::new(0),
-            sibling_set: Histogram::new(),
-        }
-    }
-
-    #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-}
-
-thread_local! {
-    static PROBE_TICK: Cell<u64> = const { Cell::new(0) };
-}
-
-/// True once per [`PROBE_SAMPLE`] calls on this thread — the read path
-/// asks this before paying for a histogram record.
-#[inline]
-pub(crate) fn probe_sampled() -> bool {
-    PROBE_TICK.with(|c| {
-        let v = c.get().wrapping_add(1);
-        c.set(v);
-        v % PROBE_SAMPLE == 0
-    })
-}
-
-/// Point-in-time view of the engine's internals, combining this store's
-/// counters, its physical structures, and the process-wide epoch
-/// reclamation stats.
+/// Point-in-time view of the engine's internals: its counters and the
+/// size of its physical structures.
 #[derive(Clone, Debug, Default)]
 pub struct EngineSnapshot {
-    /// Sampled reader probe lengths (each sample = slots inspected).
+    /// Sampled probe lengths (each sample = slots inspected).
     pub probe_len: HistSnapshot,
-    /// Writer-mutex acquisitions.
-    pub locks: u64,
-    /// Acquisitions that had to wait.
-    pub lock_waits: u64,
-    /// Contended-acquisition wait times, µs.
-    pub lock_wait: HistSnapshot,
-    /// Table rehashes.
+    /// Table rehashes (grow or tombstone cleanup).
     pub rehashes: u64,
     /// Rows reinserted across all rehashes.
     pub rehash_rows_moved: u64,
@@ -123,29 +38,30 @@ pub struct EngineSnapshot {
     pub evict_rounds: u64,
     /// Live rows examined across all eviction rounds.
     pub evict_sampled: u64,
-    /// Rounds that degenerated to exact LRU.
+    /// Rounds that saw every candidate (exact LRU, not an approximation).
     pub evict_exact_rounds: u64,
     /// `apply_batch` calls.
     pub batch_applies: u64,
     /// Writes submitted through `apply_batch`.
     pub batch_ops: u64,
-    /// Sibling-set sizes after each row mutation (live concurrent
-    /// versions per row).
+    /// Sibling-set sizes after each row mutation (write or merge): the
+    /// number of live concurrent versions the row holds. Under LWW this
+    /// pegs at 1; under DVV sibling tables it measures how much causal
+    /// concurrency the workload actually produces — the signal the
+    /// divergence observatory reads.
     pub sibling_set: HistSnapshot,
-    /// Live index entries across all shards.
+    /// Live index entries (including data-less monitor rows).
     pub live_rows: u64,
-    /// Tombstoned slots across all shards.
+    /// Tombstoned slots.
     pub tombstones: u64,
-    /// Total index slots across all shards.
+    /// Total index slots.
     pub table_slots: u64,
     /// Slab pages allocated.
     pub slab_pages: u64,
     /// Row cells those pages hold.
     pub slab_cells: u64,
-    /// Cells on the free lists (allocatable without growing).
+    /// Cells on the free list (allocatable without growing).
     pub slab_free_cells: u64,
-    /// Process-wide epoch reclamation stats (shared across stores).
-    pub epoch: crossbeam::epoch::EpochStats,
 }
 
 impl EngineSnapshot {
@@ -165,14 +81,6 @@ impl EngineSnapshot {
         }
         self.evict_sampled as f64 / self.evict_rounds as f64
     }
-
-    /// Fraction of writer-lock acquisitions that waited.
-    pub fn lock_contention(&self) -> f64 {
-        if self.locks == 0 {
-            return 0.0;
-        }
-        self.lock_waits as f64 / self.locks as f64
-    }
 }
 
 #[cfg(test)]
@@ -182,26 +90,16 @@ mod tests {
     #[test]
     fn snapshot_derived_ratios() {
         let snap = EngineSnapshot {
-            locks: 10,
-            lock_waits: 2,
             evict_rounds: 4,
             evict_sampled: 40,
             slab_cells: 128,
             slab_free_cells: 32,
             ..EngineSnapshot::default()
         };
-        assert!((snap.lock_contention() - 0.2).abs() < 1e-9);
         assert!((snap.evict_sample_mean() - 10.0).abs() < 1e-9);
         assert!((snap.slab_occupancy() - 0.75).abs() < 1e-9);
         let empty = EngineSnapshot::default();
-        assert_eq!(empty.lock_contention(), 0.0);
         assert_eq!(empty.evict_sample_mean(), 0.0);
         assert_eq!(empty.slab_occupancy(), 0.0);
-    }
-
-    #[test]
-    fn probe_sampling_fires_once_per_window() {
-        let hits = (0..(PROBE_SAMPLE * 3)).filter(|_| probe_sampled()).count();
-        assert_eq!(hits as u64, 3);
     }
 }

@@ -7,23 +7,23 @@
 //!
 //! * **Timestamped values** — writes carry [`Timestamp`]s; a newer timestamp
 //!   overwrites, an older one is reported as outdated (Sec. III-F's
-//!   lock-free `write_latest`).
+//!   `write_latest`, which needs no distributed lock).
 //! * **Value lists** — `write_all` keeps one element per *source* server,
 //!   compared and replaced per-source (Sec. III-F).
 //! * **`Dirty` and `Monitors` columns** — every row carries a dirty flag,
 //!   the pre-change value snapshot, and the monitor ids watching it, which
-//!   the trigger subsystem's scanner threads sweep (Sec. IV-C, Fig. 5).
-//! * **Sharded, lock-free-read concurrency** — the table is split into
-//!   power-of-two shards. Reads never lock: they pin an epoch guard
-//!   (crossbeam-style reclamation), probe a lock-free open-addressing
-//!   index, and return a refcounted [`RowSnapshot`] — a refcount bump, not
-//!   a deep clone (the paper's "Read&Write … Lock-Free Processing" claim).
-//!   Writers serialize per shard and copy-on-write the row's version list;
-//!   rows live in per-shard slab pages, not individual heap boxes.
+//!   the trigger subsystem's sweep collects (Sec. IV-C, Fig. 5).
+//! * **One owner, no locks** — a [`MemStore`] is `Send` and not `Sync`:
+//!   the node actor that owns it is the only thing that touches it, so the
+//!   engine is one open-addressing table over slab-allocated rows behind a
+//!   `RefCell`, with no mutex and no atomics. Reads return a
+//!   refcounted [`RowSnapshot`] — a refcount bump, not a deep clone — and
+//!   writes swap in a replacement snapshot. (The paper's "Read&Write …
+//!   Lock-Free Processing" claim is the timestamp comparison above, not a
+//!   memory model.)
 //! * **LRU eviction with memory accounting** — memcached semantics: when a
-//!   configured budget is exceeded, least-recently-used clean rows are
-//!   evicted. The LRU touch is a relaxed per-row clock stamp, off the read
-//!   critical path.
+//!   configured budget is exceeded, least-recently-used unmonitored rows
+//!   are evicted. The LRU touch is a per-row clock stamp.
 //!
 //! [`Timestamp`]: sedna_common::Timestamp
 //!
@@ -39,10 +39,12 @@
 //! let t2 = Timestamp::new(2, 0, NodeId(1));
 //!
 //! store.write_latest(&key, t2, Value::from("newer"));
-//! // An older timestamp loses, no locks involved:
+//! // An older timestamp loses:
 //! assert!(!store.write_latest(&key, t1, Value::from("older")).is_ok());
 //! assert_eq!(store.read_latest(&key).unwrap().value, Value::from("newer"));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod entry;
@@ -59,8 +61,5 @@ pub use entry::{VersionedValue, WriteOutcome};
 pub use policy::{ResolutionConfig, ResolverFn, TablePolicy};
 pub use sketch::{HotKey, SpaceSaving};
 pub use snap::RowSnapshot;
-pub use stats::StoreStats;
-pub use store::{
-    take_lock_wait_nanos, BatchWrite, BatchWriteResult, DirtyRecord, MemStore, StoreConfig,
-    StoreFootprint,
-};
+pub use stats::StatsSnapshot;
+pub use store::{BatchWrite, BatchWriteResult, DirtyRecord, MemStore, StoreConfig, StoreFootprint};

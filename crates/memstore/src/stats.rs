@@ -1,27 +1,7 @@
 //! Store-wide counters (memcached-style `STATS`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Monotonic operation counters, updated lock-free.
-#[derive(Debug, Default)]
-pub struct StoreStats {
-    /// Reads that found the key.
-    pub hits: AtomicU64,
-    /// Reads that missed.
-    pub misses: AtomicU64,
-    /// `write_latest` calls applied.
-    pub writes_latest: AtomicU64,
-    /// `write_all` calls applied.
-    pub writes_all: AtomicU64,
-    /// Writes rejected as outdated.
-    pub outdated: AtomicU64,
-    /// Rows evicted under memory pressure.
-    pub evictions: AtomicU64,
-    /// Rows explicitly removed.
-    pub removals: AtomicU64,
-}
-
-/// A point-in-time copy of [`StoreStats`].
+/// Monotonic operation counters. The store bumps one copy in place;
+/// [`MemStore::stats`](crate::MemStore::stats) returns it by value.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Reads that found the key.
@@ -38,42 +18,4 @@ pub struct StatsSnapshot {
     pub evictions: u64,
     /// Rows explicitly removed.
     pub removals: u64,
-}
-
-impl StoreStats {
-    /// Takes a consistent-enough snapshot (individual counters are atomic;
-    /// cross-counter skew is fine for statistics).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            writes_latest: self.writes_latest.load(Ordering::Relaxed),
-            writes_all: self.writes_all.load(Ordering::Relaxed),
-            outdated: self.outdated.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            removals: self.removals.load(Ordering::Relaxed),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn snapshot_reflects_bumps() {
-        let s = StoreStats::default();
-        StoreStats::bump(&s.hits);
-        StoreStats::bump(&s.hits);
-        StoreStats::bump(&s.evictions);
-        let snap = s.snapshot();
-        assert_eq!(snap.hits, 2);
-        assert_eq!(snap.evictions, 1);
-        assert_eq!(snap.misses, 0);
-    }
 }

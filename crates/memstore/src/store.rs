@@ -1,20 +1,18 @@
-//! The sharded, concurrent store.
+//! The single-owner store.
 //!
-//! A [`MemStore`] splits its key space over a power-of-two number of shards
-//! (FNV-1a of the key picks the shard). Since the hot-path overhaul each
-//! shard is two structures with different concurrency disciplines:
+//! A [`MemStore`] is one open-addressing [`Table`] mapping keys to
+//! slab-allocated [`Row`]s, plus its counters, behind one `RefCell`. It has
+//! exactly one owner: the type is `Send` (a node actor carries its store
+//! onto whichever worker it is pinned to) and not `Sync` (nothing else may
+//! touch it), so every operation is plain loads and stores — no lock, no
+//! atomics, no deferred reclamation. Intra-node parallelism, if it is ever
+//! wanted, is more node-shard actors over disjoint vnode sets, never a
+//! shared store.
 //!
-//! * a lock-free-readable open-addressing [`Table`] mapping keys to
-//!   slab-allocated [`Row`]s — **readers never lock**: they pin an epoch
-//!   guard, probe the table, bump the refcount of the row's immutable
-//!   snapshot ([`RowSnapshot`]) and leave. A single-version read performs
-//!   zero heap allocations. The LRU touch is a relaxed store of the shard
-//!   clock into the row's stamp — no queue, no lock.
-//! * a writer mutex serializing all mutation (writes, removes, monitor
-//!   edits, eviction, the trigger scan). Writers are copy-on-write: they
-//!   build the replacement snapshot, swap the row's pointer, and retire
-//!   the old snapshot / row / table through the epoch so in-flight readers
-//!   finish safely.
+//! Versions are immutable refcounted snapshots ([`RowSnapshot`]): a write
+//! builds the replacement and swaps it into the row, a read hands out a
+//! refcount bump — a single-version read performs zero heap allocations —
+//! and a snapshot taken before a write keeps the value it saw.
 //!
 //! Writes are timestamp-compared inside the row ([`crate::entry`]), so
 //! there is never a read-modify-write transaction across operations — the
@@ -23,137 +21,55 @@
 //!
 //! When a memory budget is configured the store behaves like memcached:
 //! least-recently-used rows are evicted to stay within budget, chosen by
-//! sampling live rows' stamps (exact LRU for small shards, memcached-style
+//! sampling live rows' stamps (exact LRU for small stores, memcached-style
 //! approximation for large ones). Rows carrying monitors are never evicted
 //! — they are the realtime substrate and dropping them would silently
 //! unhook triggers. Merely-dirty rows *are* evictable (cache semantics;
 //! the trigger interval already tolerates coalesced or dropped
 //! intermediate changes, Sec. IV-B).
+//!
+//! Methods taking a closure ([`MemStore::for_each_row`],
+//! [`MemStore::collect_matching`], [`MemStore::remove_matching`]) run it
+//! while the cell is borrowed: the closure must not call back into the
+//! same store. A sibling resolver ([`MemStore::set_resolver`]) is not under
+//! that rule: `read_latest` hands it a snapshot after releasing the cell.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::cell::RefCell;
+use std::sync::Arc;
 
-use crossbeam::epoch::{self, Guard};
-use parking_lot::{Mutex, MutexGuard};
 use sedna_common::hashing::fnv1a64;
 use sedna_common::{CausalContext, Key, Timestamp, Value};
 use sedna_obs::flight::{self, FlightKind};
 
-use crate::engine::{self, EngineSnapshot, EngineStats};
+use crate::engine::{EngineSnapshot, PROBE_SAMPLE};
 use crate::entry::{
     apply_dvv_write, latest_of, merge_dvv, payload_of, Applied, VersionedValue, WriteOutcome,
 };
 use crate::policy::{ResolutionConfig, ResolverFn, TablePolicy};
 use crate::row::{Row, RowMeta, RowSlab, PAGE};
 use crate::snap::RowSnapshot;
-use crate::stats::{StatsSnapshot, StoreStats};
+use crate::stats::StatsSnapshot;
 use crate::table::{is_live, mix, Locate, Table};
-
-thread_local! {
-    /// Nanoseconds this thread spent blocked on contended shard locks
-    /// since the last [`take_lock_wait_nanos`] — lets the node attribute
-    /// lock wait to the specific op it just applied and report it in the
-    /// ack for the client's critical-path decomposition.
-    static LOCK_WAIT_NANOS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Returns and resets the calling thread's accumulated contended
-/// shard-lock wait (nanoseconds). Call before and after an apply to
-/// bracket the wait attributable to that op.
-pub fn take_lock_wait_nanos() -> u64 {
-    LOCK_WAIT_NANOS.with(|w| w.replace(0))
-}
 
 /// Fixed per-row overhead charged to the memory budget (index slot, row
 /// header) — the analogue of memcached's item header.
 const ROW_OVERHEAD: usize = 64;
 
-/// Smallest per-shard table.
+/// Smallest table.
 const MIN_TABLE_CAP: usize = 8;
 
-/// Rows examined per eviction: the lowest-stamp one goes. Shards at or
+/// Rows examined per eviction: the lowest-stamp one goes. Stores at or
 /// below this size get exact LRU.
 const EVICT_SAMPLE: usize = 16;
 
 /// Store configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StoreConfig {
-    /// Number of shards; rounded up to a power of two, minimum 1.
-    pub shards: usize,
-    /// Optional memory budget in bytes across all shards; `None` disables
-    /// eviction (the paper's data nodes used a fixed 4 GB budget).
+    /// Optional memory budget in bytes; `None` disables eviction (the
+    /// paper's data nodes used a fixed 4 GB budget).
     pub memory_budget: Option<usize>,
     /// Per-table sibling resolution under dotted version vectors.
     pub resolution: ResolutionConfig,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            shards: 16,
-            memory_budget: None,
-            resolution: ResolutionConfig::default(),
-        }
-    }
-}
-
-/// Writer-side shard state, all behind the shard mutex.
-struct ShardInner {
-    /// Live rows in the table (including data-less monitor rows).
-    live: usize,
-    /// Tombstoned slots (cleared on rehash).
-    tombs: usize,
-    /// Bytes charged against the budget.
-    payload_bytes: usize,
-    /// Eviction sampling cursor.
-    evict_cursor: usize,
-}
-
-struct Shard {
-    /// Current index table; retired tables are epoch-deferred.
-    table: AtomicPtr<Table>,
-    /// LRU clock; readers stamp rows with `fetch_add` results.
-    clock: AtomicU64,
-    /// Row arena. `Arc`: deferred row releases may outlive the store.
-    slab: Arc<RowSlab>,
-    inner: Mutex<ShardInner>,
-}
-
-impl Shard {
-    fn new() -> Shard {
-        Shard {
-            table: AtomicPtr::new(Box::into_raw(Table::boxed(MIN_TABLE_CAP))),
-            clock: AtomicU64::new(1),
-            slab: RowSlab::new(),
-            inner: Mutex::new(ShardInner {
-                live: 0,
-                tombs: 0,
-                payload_bytes: 0,
-                evict_cursor: 0,
-            }),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must hold an epoch guard (readers) or the shard mutex
-    /// (writers); the reference is valid for that scope.
-    #[inline]
-    unsafe fn table(&self) -> &Table {
-        &*self.table.load(Ordering::Acquire)
-    }
-
-    /// Stamps a row as just-touched. Lock-free; called by readers too.
-    #[inline]
-    fn touch(&self, row: &Row) {
-        let c = self.clock.fetch_add(1, Ordering::Relaxed);
-        row.stamp.store(c, Ordering::Relaxed);
-    }
-
-    fn row_cost(row: &Row, versions: &[VersionedValue]) -> usize {
-        row.key.len() + payload_of(versions) + ROW_OVERHEAD
-    }
 }
 
 /// One write, as [`MemStore::write`] and [`MemStore::apply_batch`] take it.
@@ -200,46 +116,336 @@ pub struct DirtyRecord {
 pub struct StoreFootprint {
     /// Live index entries (including data-less monitor rows).
     pub rows: usize,
-    /// Total index slots across all shard tables.
+    /// Index slots.
     pub table_slots: usize,
-    /// Slab pages allocated across all shards.
+    /// Slab pages allocated.
     pub slab_pages: usize,
     /// Row cells those pages hold (`slab_pages × page size`).
     pub slab_cells: usize,
 }
 
-/// The sharded in-memory store.
+/// The in-memory store. One owner: `Send`, never `Sync`.
+///
+/// Moving a store to another thread is fine; sharing one is a compile
+/// error, whether by reference or behind an `Arc`:
+///
+/// ```compile_fail
+/// use sedna_memstore::{MemStore, StoreConfig};
+/// let store = MemStore::new(StoreConfig::default());
+/// std::thread::scope(|s| {
+///     s.spawn(|| store.len());
+/// });
+/// ```
+///
+/// ```compile_fail
+/// use sedna_memstore::{MemStore, StoreConfig};
+/// let store = std::sync::Arc::new(MemStore::new(StoreConfig::default()));
+/// std::thread::spawn(move || store.len());
+/// ```
 pub struct MemStore {
-    shards: Box<[Shard]>,
-    mask: u64,
-    budget_per_shard: Option<usize>,
+    inner: RefCell<Inner>,
+}
+
+const _: fn() = || {
+    fn is_send<T: Send>() {}
+    is_send::<MemStore>();
+};
+
+/// Everything the store owns; reached only through `MemStore::inner`.
+struct Inner {
+    table: Table,
+    rows: RowSlab,
+    /// LRU clock; every touch stamps the row with the next value.
+    clock: u64,
+    /// Live rows in the table (including data-less monitor rows).
+    live: usize,
+    /// Tombstoned slots (cleared on rehash).
+    tombs: usize,
+    /// Live rows that hold data — what [`MemStore::len`] reports.
+    data_rows: usize,
+    /// Bytes charged against the budget.
+    payload_bytes: usize,
+    /// Eviction sampling cursor.
+    evict_cursor: usize,
+    /// Probes since the store was created (drives probe-length sampling).
+    probes: u64,
+    budget: Option<usize>,
     resolution: ResolutionConfig,
     /// Application sibling resolvers, `(flat-key prefix, fn)`. Consulted
-    /// only when a read sees two or more siblings, behind the fast flag.
-    resolvers: RwLock<Vec<(Vec<u8>, Arc<ResolverFn>)>>,
-    has_resolvers: AtomicBool,
-    stats: StoreStats,
-    engine: EngineStats,
+    /// only when a read sees two or more siblings.
+    resolvers: Vec<(Vec<u8>, Arc<ResolverFn>)>,
+    stats: StatsSnapshot,
+    /// Counter half of the engine snapshot; the size fields stay zero here.
+    engine: EngineSnapshot,
+}
+
+#[inline]
+fn hash_of(key: &Key) -> u64 {
+    mix(fnv1a64(key.as_bytes()))
+}
+
+fn row_cost(row: &Row) -> usize {
+    row.key.len() + payload_of(&row.snap) + ROW_OVERHEAD
+}
+
+/// The resolver registered for `key`'s prefix, if any.
+fn resolver_for<'a>(
+    resolvers: &'a [(Vec<u8>, Arc<ResolverFn>)],
+    key: &Key,
+) -> Option<&'a Arc<ResolverFn>> {
+    resolvers
+        .iter()
+        .find(|(prefix, _)| key.as_bytes().starts_with(prefix))
+        .map(|(_, resolver)| resolver)
+}
+
+impl Inner {
+    /// Table probe plus sampled probe-length accounting.
+    #[inline]
+    fn locate(&mut self, h: u64, key: &Key) -> Locate {
+        let (found, probes) = self.table.locate(&self.rows, h, key);
+        self.probes += 1;
+        if self.probes.is_multiple_of(PROBE_SAMPLE) {
+            self.engine.probe_len.record(probes as u64);
+        }
+        found
+    }
+
+    /// Stamps a row as just-touched.
+    #[inline]
+    fn touch(&mut self, idx: u32) {
+        self.clock += 1;
+        self.rows.get_mut(idx).stamp = self.clock;
+    }
+
+    /// Swaps a row's versions, keeping the byte and row counts in step;
+    /// returns the displaced snapshot.
+    fn replace_snap(&mut self, idx: u32, new: RowSnapshot) -> RowSnapshot {
+        let row = self.rows.get_mut(idx);
+        self.payload_bytes = self.payload_bytes + payload_of(&new) - payload_of(&row.snap);
+        self.data_rows =
+            self.data_rows + usize::from(!new.is_empty()) - usize::from(!row.snap.is_empty());
+        std::mem::replace(&mut row.snap, new)
+    }
+
+    /// The shared write path.
+    fn write_one(
+        &mut self,
+        key: &Key,
+        ts: Timestamp,
+        value: Value,
+        ctx: &CausalContext,
+        latest: bool,
+    ) -> BatchWriteResult {
+        let collapse = latest && self.resolution.policy_for(key) == TablePolicy::LastWriterWins;
+        let h = hash_of(key);
+        let was_new = match self.locate(h, key) {
+            Locate::Found(_, idx) => {
+                let cur = &self.rows.get(idx).snap;
+                let was_new = cur.is_empty();
+                match apply_dvv_write(cur, ts, value, ctx, collapse) {
+                    Applied::Outdated => {
+                        self.stats.outdated += 1;
+                        return BatchWriteResult {
+                            outcome: WriteOutcome::Outdated,
+                            was_new,
+                        };
+                    }
+                    Applied::Unchanged => {}
+                    Applied::Replaced(new) => {
+                        self.engine.sibling_set.record(new.as_slice().len() as u64);
+                        let old = self.replace_snap(idx, new);
+                        let meta = &mut self.rows.get_mut(idx).meta;
+                        if !meta.dirty && meta.pending_old.is_none() {
+                            // The pre-change snapshot is whatever the row
+                            // held: moved, not copied.
+                            meta.pending_old = Some(old);
+                        }
+                        meta.dirty = true;
+                    }
+                }
+                self.touch(idx);
+                was_new
+            }
+            Locate::Vacant(ii) => {
+                let applied = apply_dvv_write(&RowSnapshot::empty(), ts, value, ctx, collapse);
+                let Applied::Replaced(snap) = applied else {
+                    // Writes against an empty row always apply.
+                    unreachable!("write into empty row must replace");
+                };
+                self.engine.sibling_set.record(snap.as_slice().len() as u64);
+                self.clock += 1;
+                self.insert_row(
+                    ii,
+                    Row {
+                        key: key.clone(),
+                        hash: h,
+                        stamp: self.clock,
+                        snap,
+                        meta: RowMeta {
+                            dirty: true,
+                            pending_old: Some(RowSnapshot::empty()),
+                            monitors: Vec::new(),
+                        },
+                    },
+                );
+                true
+            }
+        };
+        if latest {
+            self.stats.writes_latest += 1;
+        } else {
+            self.stats.writes_all += 1;
+        }
+        if let Some(budget) = self.budget {
+            self.evict(budget);
+        }
+        BatchWriteResult {
+            outcome: WriteOutcome::Ok,
+            was_new,
+        }
+    }
+
+    /// Inserts a fresh row at the vacant slot `ii` its probe found,
+    /// growing/cleaning the table first when occupancy (live + tombstones)
+    /// would pass 3/4.
+    fn insert_row(&mut self, ii: usize, row: Row) {
+        self.payload_bytes += row_cost(&row);
+        self.data_rows += usize::from(!row.snap.is_empty());
+        let h = row.hash;
+        let idx = self.rows.alloc(row);
+        if (self.live + self.tombs + 1) * 4 >= self.table.capacity() * 3 {
+            self.rehash();
+            self.table.insert_new(idx, h);
+        } else if self.table.publish(ii, idx, h) {
+            self.tombs -= 1;
+        }
+        self.live += 1;
+    }
+
+    /// Swaps in a right-sized, tombstone-free table.
+    fn rehash(&mut self) {
+        sedna_obs::prof_scope!("store.rehash");
+        let cap = ((self.live + 1) * 2).next_power_of_two().max(MIN_TABLE_CAP);
+        let old = std::mem::replace(&mut self.table, Table::new(cap));
+        for slot in old.slots.iter().filter(|s| is_live(s.meta)) {
+            // The tag keeps the hash's probe bits, so rows are not read.
+            self.table.insert_new(slot.row, slot.meta);
+        }
+        self.engine.rehashes += 1;
+        self.engine.rehash_rows_moved += self.live as u64;
+        flight::record(FlightKind::Rehash, cap as u64);
+        self.tombs = 0;
+        self.evict_cursor = 0;
+    }
+
+    /// Tombstones slot `ii` and takes its row `idx` out of the slab; the
+    /// cell is reusable by the very next insert.
+    fn unlink(&mut self, ii: usize, idx: u32) -> Row {
+        self.table.erase(ii);
+        self.live -= 1;
+        self.tombs += 1;
+        let row = self.rows.release(idx);
+        self.payload_bytes -= row_cost(&row);
+        self.data_rows -= usize::from(!row.snap.is_empty());
+        row
+    }
+
+    /// Whole value list of `key` as a refcount bump, counted as a hit or
+    /// miss.
+    fn read_snapshot(&mut self, key: &Key) -> Option<RowSnapshot> {
+        let mut found = None;
+        if let Locate::Found(_, idx) = self.locate(hash_of(key), key) {
+            let row = self.rows.get_mut(idx);
+            if !row.snap.is_empty() {
+                found = Some(row.snap.clone());
+                self.clock += 1;
+                row.stamp = self.clock;
+            }
+        }
+        self.count_read(found.is_some());
+        found
+    }
+
+    fn count_read(&mut self, hit: bool) {
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+    }
+
+    /// Evicts lowest-stamp unmonitored rows until the store fits its
+    /// budget. Samples up to [`EVICT_SAMPLE`] live rows per round from a
+    /// roving cursor — exact LRU for stores at or below the sample size,
+    /// memcached-style approximation beyond it.
+    fn evict(&mut self, budget: usize) {
+        if self.payload_bytes <= budget {
+            return;
+        }
+        sedna_obs::prof_scope!("store.evict");
+        let mut attempts = self.live;
+        while self.payload_bytes > budget && self.live > 1 && attempts > 0 {
+            attempts -= 1;
+            let cap = self.table.capacity();
+            let mut victim: Option<(usize, u32, u64)> = None;
+            let mut seen = 0;
+            let mut i = self.evict_cursor % cap;
+            for _ in 0..cap {
+                let slot = self.table.slots[i];
+                if is_live(slot.meta) {
+                    let row = self.rows.get(slot.row);
+                    if row.meta.monitors.is_empty() {
+                        if victim.is_none_or(|(_, _, s)| row.stamp < s) {
+                            victim = Some((i, slot.row, row.stamp));
+                        }
+                        seen += 1;
+                        if seen >= EVICT_SAMPLE {
+                            break;
+                        }
+                    }
+                }
+                i = (i + 1) % cap;
+            }
+            self.evict_cursor = (i + 1) % cap;
+            self.engine.evict_rounds += 1;
+            self.engine.evict_sampled += seen as u64;
+            if seen < EVICT_SAMPLE {
+                // The scan ran out of candidates before filling the sample:
+                // every evictable row was considered, so this pick is exact
+                // LRU, not an approximation.
+                self.engine.evict_exact_rounds += 1;
+            }
+            let Some((ii, idx, stamp)) = victim else {
+                break; // every remaining row is monitored
+            };
+            self.unlink(ii, idx);
+            self.stats.evictions += 1;
+            flight::record(FlightKind::Evict, stamp);
+        }
+    }
 }
 
 impl MemStore {
     /// Creates a store.
     pub fn new(config: StoreConfig) -> Self {
-        // Route the epoch shim's lifecycle events (pin/unpin/retire/free/
-        // advance) into the process-wide flight recorder. Idempotent; the
-        // shim's codes match the recorder's kind discriminants.
-        epoch::set_event_hook(flight::record_raw);
-        let n = config.shards.max(1).next_power_of_two();
-        let shards: Vec<Shard> = (0..n).map(|_| Shard::new()).collect();
         MemStore {
-            shards: shards.into_boxed_slice(),
-            mask: (n - 1) as u64,
-            budget_per_shard: config.memory_budget.map(|b| b / n),
-            resolution: config.resolution,
-            resolvers: RwLock::new(Vec::new()),
-            has_resolvers: AtomicBool::new(false),
-            stats: StoreStats::default(),
-            engine: EngineStats::new(),
+            inner: RefCell::new(Inner {
+                table: Table::new(MIN_TABLE_CAP),
+                rows: RowSlab::default(),
+                clock: 0,
+                live: 0,
+                tombs: 0,
+                data_rows: 0,
+                payload_bytes: 0,
+                evict_cursor: 0,
+                probes: 0,
+                budget: config.memory_budget,
+                resolution: config.resolution,
+                resolvers: Vec::new(),
+                stats: StatsSnapshot::default(),
+                engine: EngineSnapshot::default(),
+            }),
         }
     }
 
@@ -249,69 +455,7 @@ impl MemStore {
     /// freshest dot instead of raw last-writer-wins. Storage keeps the
     /// siblings; the resolver is a read-side view.
     pub fn set_resolver(&self, prefix: Vec<u8>, resolver: Arc<ResolverFn>) {
-        let mut resolvers = self.resolvers.write().unwrap_or_else(|e| e.into_inner());
-        resolvers.push((prefix, resolver));
-        self.has_resolvers.store(true, Ordering::Release);
-    }
-
-    fn resolve_siblings(&self, key: &Key, versions: &[VersionedValue]) -> Option<VersionedValue> {
-        if versions.len() < 2 || !self.has_resolvers.load(Ordering::Acquire) {
-            return None;
-        }
-        let resolvers = self.resolvers.read().unwrap_or_else(|e| e.into_inner());
-        let (_, resolver) = resolvers
-            .iter()
-            .find(|(prefix, _)| key.as_bytes().starts_with(prefix))?;
-        let ts = latest_of(versions).expect("non-empty").ts;
-        Some(VersionedValue {
-            ts,
-            value: resolver(versions),
-        })
-    }
-
-    /// Acquires a shard's writer mutex, timing only contended acquires
-    /// (the `try_lock` fast path keeps the uncontended cost at zero).
-    fn lock_shard<'a>(&self, shard: &'a Shard) -> MutexGuard<'a, ShardInner> {
-        EngineStats::add(&self.engine.locks, 1);
-        if let Some(g) = shard.inner.try_lock() {
-            flight::record(FlightKind::ShardLock, 0);
-            return g;
-        }
-        let t0 = std::time::Instant::now();
-        let g = shard.inner.lock();
-        let waited_nanos = t0.elapsed().as_nanos() as u64;
-        let waited = waited_nanos / 1_000;
-        EngineStats::add(&self.engine.lock_waits, 1);
-        self.engine.lock_wait_micros.record(waited);
-        flight::record(FlightKind::ShardLockWait, waited);
-        LOCK_WAIT_NANOS.with(|w| w.set(w.get().saturating_add(waited_nanos)));
-        g
-    }
-
-    /// Reader probe plus sampled probe-length accounting.
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold an epoch guard; see [`Table::lookup`].
-    #[inline]
-    unsafe fn lookup(&self, shard: &Shard, h: u64, key: &Key) -> Option<*mut Row> {
-        let (found, probes) = shard.table().lookup(h, key);
-        if engine::probe_sampled() {
-            self.engine.probe_len.record(probes as u64);
-        }
-        found
-    }
-
-    /// Shard index and (mixed) table hash for `key`.
-    #[inline]
-    fn route(&self, key: &Key) -> (&Shard, u64) {
-        let h = fnv1a64(key.as_bytes());
-        (&self.shards[(h & self.mask) as usize], mix(h))
-    }
-
-    #[inline]
-    fn shard_index(&self, key: &Key) -> usize {
-        (fnv1a64(key.as_bytes()) & self.mask) as usize
+        self.inner.borrow_mut().resolvers.push((prefix, resolver));
     }
 
     /// Applies one write carrying the writer's causal context: siblings
@@ -319,339 +463,91 @@ impl MemStore {
     /// survive unless the write is a `write_latest` on a table whose policy
     /// is last-writer-wins, which collapses the row to the freshest dot.
     pub fn write(&self, op: &BatchWrite) -> BatchWriteResult {
-        self.write_routed(&op.key, op.ts, op.value.clone(), &op.ctx, op.latest)
+        self.inner
+            .borrow_mut()
+            .write_one(&op.key, op.ts, op.value.clone(), &op.ctx, op.latest)
     }
 
     /// Applies a `write_latest` (Sec. III-F) with no causal context — a
     /// blind write. Under the default LWW policy the newest timestamp wins
     /// and the value list collapses to one element.
     pub fn write_latest(&self, key: &Key, ts: Timestamp, value: Value) -> WriteOutcome {
-        self.write_routed(key, ts, value, &CausalContext::EMPTY, true)
+        self.inner
+            .borrow_mut()
+            .write_one(key, ts, value, &CausalContext::EMPTY, true)
             .outcome
     }
 
     /// Applies a `write_all` (Sec. III-F) with no causal context.
     pub fn write_all(&self, key: &Key, ts: Timestamp, value: Value) -> WriteOutcome {
-        self.write_routed(key, ts, value, &CausalContext::EMPTY, false)
+        self.inner
+            .borrow_mut()
+            .write_one(key, ts, value, &CausalContext::EMPTY, false)
             .outcome
     }
 
-    /// Single-op entry into [`MemStore::write_one`]: route, pin, lock.
-    fn write_routed(
-        &self,
-        key: &Key,
-        ts: Timestamp,
-        value: Value,
-        ctx: &CausalContext,
-        latest: bool,
-    ) -> BatchWriteResult {
-        let (shard, h) = self.route(key);
-        let guard = epoch::pin();
-        let mut inner = self.lock_shard(shard);
-        self.write_one(shard, &mut inner, &guard, key, h, ts, value, ctx, latest)
-    }
-
-    /// Shared write path (shard mutex held).
-    #[allow(clippy::too_many_arguments)]
-    fn write_one(
-        &self,
-        shard: &Shard,
-        inner: &mut ShardInner,
-        guard: &Guard,
-        key: &Key,
-        h: u64,
-        ts: Timestamp,
-        value: Value,
-        ctx: &CausalContext,
-        latest: bool,
-    ) -> BatchWriteResult {
-        let counter = if latest {
-            &self.stats.writes_latest
-        } else {
-            &self.stats.writes_all
-        };
-        let collapse = latest && self.resolution.policy_for(key) == TablePolicy::LastWriterWins;
-        // SAFETY: shard mutex held.
-        let table = unsafe { shard.table() };
-        match table.locate(h, key) {
-            Locate::Found(_, p) => {
-                // SAFETY: row is live (writer lock held) and we are pinned.
-                let row = unsafe { &*p };
-                // Refcount bump, not a deep copy: the decision function
-                // needs the row clock as well as the version slice.
-                let cur = unsafe { row.snapshot() };
-                let was_new = cur.is_empty();
-                let outcome = match apply_dvv_write(&cur, ts, value, ctx, collapse) {
-                    Applied::Outdated => {
-                        StoreStats::bump(&self.stats.outdated);
-                        WriteOutcome::Outdated
-                    }
-                    Applied::Unchanged => {
-                        shard.touch(row);
-                        StoreStats::bump(counter);
-                        self.maybe_evict(shard, inner, guard);
-                        WriteOutcome::Ok
-                    }
-                    Applied::Replaced(new) => {
-                        // SAFETY: meta is writer-owned; mutex held.
-                        let meta = unsafe { row.meta_mut() };
-                        if !meta.dirty && meta.pending_old.is_none() {
-                            // O(1) pre-change snapshot: a refcount bump of
-                            // whatever the row held.
-                            meta.pending_old = Some(cur.clone());
-                        }
-                        meta.dirty = true;
-                        inner.payload_bytes =
-                            inner.payload_bytes + payload_of(&new) - payload_of(&cur);
-                        self.engine.sibling_set.record(new.as_slice().len() as u64);
-                        // SAFETY: writer lock + guard held.
-                        unsafe { row.replace_snap(new, guard) };
-                        shard.touch(row);
-                        StoreStats::bump(counter);
-                        self.maybe_evict(shard, inner, guard);
-                        WriteOutcome::Ok
-                    }
-                };
-                BatchWriteResult { outcome, was_new }
-            }
-            Locate::Vacant(_) => {
-                let applied = apply_dvv_write(&RowSnapshot::empty(), ts, value, ctx, collapse);
-                let Applied::Replaced(new) = applied else {
-                    // Writes against an empty row always apply.
-                    unreachable!("write into empty row must replace");
-                };
-                inner.payload_bytes += key.len() + payload_of(&new) + ROW_OVERHEAD;
-                self.engine.sibling_set.record(new.as_slice().len() as u64);
-                let stamp = shard.clock.fetch_add(1, Ordering::Relaxed);
-                let row = Row::new(
-                    key.clone(),
-                    h,
-                    new,
-                    RowMeta {
-                        dirty: true,
-                        pending_old: Some(RowSnapshot::empty()),
-                        monitors: Vec::new(),
-                    },
-                    stamp,
-                );
-                self.insert_row(shard, inner, h, row, guard);
-                StoreStats::bump(counter);
-                self.maybe_evict(shard, inner, guard);
-                BatchWriteResult {
-                    outcome: WriteOutcome::Ok,
-                    was_new: true,
+    /// Reads the freshest element of the row (`read_latest`): probe, clone
+    /// one element (refcount bumps only — no heap allocation). When the
+    /// key has a registered application resolver and the row holds
+    /// concurrent siblings, the resolver's merged view is served instead
+    /// of raw freshest-timestamp.
+    pub fn read_latest(&self, key: &Key) -> Option<VersionedValue> {
+        let mut found = None;
+        let mut contested = None;
+        {
+            let s = &mut *self.inner.borrow_mut();
+            if let Locate::Found(_, idx) = s.locate(hash_of(key), key) {
+                let row = s.rows.get_mut(idx);
+                let versions = row.snap.as_slice();
+                found = latest_of(versions).cloned();
+                if found.is_some() {
+                    s.clock += 1;
+                    row.stamp = s.clock;
+                }
+                if versions.len() >= 2 {
+                    contested = resolver_for(&s.resolvers, key)
+                        .map(|resolver| (resolver.clone(), row.snap.clone()));
                 }
             }
+            s.count_read(found.is_some());
         }
-    }
-
-    /// Inserts a fresh row, growing/cleaning the table when occupancy
-    /// (live + tombstones) would pass 3/4.
-    fn insert_row(&self, shard: &Shard, inner: &mut ShardInner, h: u64, row: Row, guard: &Guard) {
-        // SAFETY: shard mutex held.
-        unsafe {
-            let mut table = shard.table();
-            if (inner.live + inner.tombs + 1) * 4 >= table.capacity() * 3 {
-                self.rehash(shard, inner, guard);
-                table = shard.table();
-            }
-            let ii = match table.locate(h, &row.key) {
-                Locate::Vacant(ii) => ii,
-                Locate::Found(..) => unreachable!("insert of a key already present"),
-            };
-            let p = shard.slab.alloc(row);
-            if table.publish(ii, p, h) {
-                inner.tombs -= 1;
-            }
-            inner.live += 1;
+        // The resolver is application code: it runs on a snapshot with the
+        // cell released, so it may use the store it is registered on.
+        match contested {
+            Some((resolver, snap)) => found.map(|freshest| VersionedValue {
+                ts: freshest.ts,
+                value: resolver(snap.as_slice()),
+            }),
+            None => found,
         }
-    }
-
-    /// Swaps in a right-sized, tombstone-free table; the old one is
-    /// retired through the epoch so pinned readers finish their probes.
-    ///
-    /// # Safety
-    ///
-    /// Shard mutex held.
-    unsafe fn rehash(&self, shard: &Shard, inner: &mut ShardInner, guard: &Guard) {
-        sedna_obs::prof_scope!("store.rehash");
-        let old_ptr = shard.table.load(Ordering::Acquire);
-        let old = &*old_ptr;
-        let cap = ((inner.live + 1) * 2)
-            .next_power_of_two()
-            .max(MIN_TABLE_CAP);
-        let new = Table::boxed(cap);
-        let mut moved = 0u64;
-        for slot in old.slots.iter() {
-            if is_live(slot.meta.load(Ordering::Relaxed)) {
-                let p = slot.row.load(Ordering::Relaxed);
-                new.rehash_insert(p, (*p).hash);
-                moved += 1;
-            }
-        }
-        shard.table.store(Box::into_raw(new), Ordering::Release);
-        EngineStats::add(&self.engine.rehashes, 1);
-        EngineStats::add(&self.engine.rehash_rows_moved, moved);
-        flight::record(FlightKind::Rehash, cap as u64);
-        inner.tombs = 0;
-        inner.evict_cursor = 0;
-        guard.defer(move || drop(Box::from_raw(old_ptr)));
-    }
-
-    /// Tombstones `ii` and schedules the row's cell for recycling after
-    /// the grace period.
-    ///
-    /// # Safety
-    ///
-    /// Shard mutex held; `row` is the live occupant of slot `ii`.
-    unsafe fn unlink(
-        &self,
-        shard: &Shard,
-        inner: &mut ShardInner,
-        ii: usize,
-        row: *mut Row,
-        guard: &Guard,
-    ) {
-        // SAFETY: shard mutex held.
-        shard.table().erase(ii);
-        inner.live -= 1;
-        inner.tombs += 1;
-        let slab = Arc::clone(&shard.slab);
-        let idx = (*row).slab_idx;
-        guard.defer(move || slab.release(idx));
-    }
-
-    fn maybe_evict(&self, shard: &Shard, inner: &mut ShardInner, guard: &Guard) {
-        if let Some(budget) = self.budget_per_shard {
-            self.evict_from(shard, inner, guard, budget);
-        }
-    }
-
-    /// Reads the freshest element of the row (`read_latest`). Lock-free:
-    /// pin, probe, clone one element (refcount bumps only — no heap
-    /// allocation). When the key has a registered application resolver and
-    /// the row holds concurrent siblings, the resolver's merged view is
-    /// served instead of raw freshest-timestamp.
-    pub fn read_latest(&self, key: &Key) -> Option<VersionedValue> {
-        let (shard, h) = self.route(key);
-        let guard = epoch::pin();
-        // SAFETY: pinned.
-        let mut found = None;
-        if let Some(p) = unsafe { self.lookup(shard, h, key) } {
-            let row = unsafe { &*p };
-            let versions = unsafe { row.peek(&guard) };
-            if let Some(resolved) = self.resolve_siblings(key, versions) {
-                found = Some(resolved);
-                shard.touch(row);
-            } else if let Some(v) = latest_of(versions) {
-                found = Some(v.clone());
-                shard.touch(row);
-            }
-        }
-        drop(guard);
-        if found.is_some() {
-            StoreStats::bump(&self.stats.hits);
-        } else {
-            StoreStats::bump(&self.stats.misses);
-        }
-        found
     }
 
     /// Reads the whole value list (`read_all`) as a zero-copy snapshot.
     pub fn read_all(&self, key: &Key) -> Option<RowSnapshot> {
-        let (shard, h) = self.route(key);
-        let guard = epoch::pin();
-        let mut found = None;
-        // SAFETY: pinned.
-        if let Some(p) = unsafe { self.lookup(shard, h, key) } {
-            let row = unsafe { &*p };
-            let snap = unsafe { row.snapshot() };
-            if !snap.is_empty() {
-                shard.touch(row);
-                found = Some(snap);
-            }
-        }
-        drop(guard);
-        if found.is_some() {
-            StoreStats::bump(&self.stats.hits);
-        } else {
-            StoreStats::bump(&self.stats.misses);
-        }
-        found
+        self.inner.borrow_mut().read_snapshot(key)
     }
 
-    /// Applies a batch of timestamped writes, acquiring each shard's
-    /// writer lock once per batch instead of once per op. Semantics are
-    /// identical to calling [`MemStore::write`] per element in order;
-    /// results come back positionally. An empty batch touches nothing.
+    /// Applies a batch of timestamped writes: exactly [`MemStore::write`]
+    /// per element, in order, with results returned positionally. An
+    /// empty batch touches nothing.
     pub fn apply_batch(&self, ops: &[BatchWrite]) -> Vec<BatchWriteResult> {
         if ops.is_empty() {
             return Vec::new();
         }
-        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            groups.entry(self.shard_index(&op.key)).or_default().push(i);
-        }
-        let mut results: Vec<Option<BatchWriteResult>> = ops.iter().map(|_| None).collect();
-        EngineStats::add(&self.engine.batch_applies, 1);
-        EngineStats::add(&self.engine.batch_ops, ops.len() as u64);
+        let s = &mut *self.inner.borrow_mut();
+        s.engine.batch_applies += 1;
+        s.engine.batch_ops += ops.len() as u64;
         flight::record(FlightKind::BatchApply, ops.len() as u64);
-        let guard = epoch::pin();
-        for (shard_idx, idxs) in groups {
-            let shard = &self.shards[shard_idx];
-            let mut inner = self.lock_shard(shard);
-            for i in idxs {
-                let op = &ops[i];
-                let h = mix(fnv1a64(op.key.as_bytes()));
-                results[i] = Some(self.write_one(
-                    shard,
-                    &mut inner,
-                    &guard,
-                    &op.key,
-                    h,
-                    op.ts,
-                    op.value.clone(),
-                    &op.ctx,
-                    op.latest,
-                ));
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every op visited"))
+        ops.iter()
+            .map(|op| s.write_one(&op.key, op.ts, op.value.clone(), &op.ctx, op.latest))
             .collect()
     }
 
-    /// Reads the whole value list of several keys under a single epoch
-    /// pin — no locks at all. Positionally equivalent to
-    /// [`MemStore::read_all`] per key.
+    /// Reads the whole value list of several keys. Positionally equivalent
+    /// to [`MemStore::read_all`] per key.
     pub fn get_many(&self, keys: &[Key]) -> Vec<Option<RowSnapshot>> {
-        if keys.is_empty() {
-            return Vec::new();
-        }
-        let guard = epoch::pin();
-        let mut results = Vec::with_capacity(keys.len());
-        for key in keys {
-            let (shard, h) = self.route(key);
-            let mut found = None;
-            // SAFETY: pinned.
-            if let Some(p) = unsafe { self.lookup(shard, h, key) } {
-                let row = unsafe { &*p };
-                let snap = unsafe { row.snapshot() };
-                if !snap.is_empty() {
-                    shard.touch(row);
-                    found = Some(snap);
-                }
-            }
-            if found.is_some() {
-                StoreStats::bump(&self.stats.hits);
-            } else {
-                StoreStats::bump(&self.stats.misses);
-            }
-            results.push(found);
-        }
-        drop(guard);
-        results
+        let s = &mut *self.inner.borrow_mut();
+        keys.iter().map(|key| s.read_snapshot(key)).collect()
     }
 
     /// Merges a replica's version list *and row clock* into the row without
@@ -669,30 +565,19 @@ impl MemStore {
         if incoming.is_empty() && incoming_clock.is_empty() {
             return false;
         }
-        let (shard, h) = self.route(key);
-        let guard = epoch::pin();
-        let mut inner = self.lock_shard(shard);
-        // SAFETY: shard mutex held.
-        let table = unsafe { shard.table() };
-        match table.locate(h, key) {
-            Locate::Found(_, p) => {
-                let row = unsafe { &*p };
-                // Refcount bump: the merge needs the row clock too.
-                let cur = unsafe { row.snapshot() };
-                match merge_dvv(&cur, incoming, incoming_clock) {
-                    None => false,
-                    Some(snap) => {
-                        inner.payload_bytes =
-                            inner.payload_bytes + payload_of(&snap) - payload_of(&cur);
-                        self.engine.sibling_set.record(snap.as_slice().len() as u64);
-                        // SAFETY: writer lock + guard held.
-                        unsafe { row.replace_snap(snap, &guard) };
-                        shard.touch(row);
-                        true
-                    }
-                }
+        let s = &mut *self.inner.borrow_mut();
+        let h = hash_of(key);
+        match s.locate(h, key) {
+            Locate::Found(_, idx) => {
+                let Some(snap) = merge_dvv(&s.rows.get(idx).snap, incoming, incoming_clock) else {
+                    return false;
+                };
+                s.engine.sibling_set.record(snap.as_slice().len() as u64);
+                s.replace_snap(idx, snap);
+                s.touch(idx);
+                true
             }
-            Locate::Vacant(_) => {
+            Locate::Vacant(ii) => {
                 if incoming.is_empty() {
                     return false;
                 }
@@ -703,11 +588,18 @@ impl MemStore {
                     // worth materializing a row for.
                     return false;
                 }
-                inner.payload_bytes += key.len() + payload_of(&snap) + ROW_OVERHEAD;
-                self.engine.sibling_set.record(snap.as_slice().len() as u64);
-                let stamp = shard.clock.fetch_add(1, Ordering::Relaxed);
-                let row = Row::new(key.clone(), h, snap, RowMeta::default(), stamp);
-                self.insert_row(shard, &mut inner, h, row, &guard);
+                s.engine.sibling_set.record(snap.as_slice().len() as u64);
+                s.clock += 1;
+                s.insert_row(
+                    ii,
+                    Row {
+                        key: key.clone(),
+                        hash: h,
+                        stamp: s.clock,
+                        snap,
+                        meta: RowMeta::default(),
+                    },
+                );
                 true
             }
         }
@@ -715,31 +607,20 @@ impl MemStore {
 
     /// Removes a row, returning its value list.
     pub fn remove(&self, key: &Key) -> Option<RowSnapshot> {
-        let (shard, h) = self.route(key);
-        let guard = epoch::pin();
-        let mut inner = self.lock_shard(shard);
-        // SAFETY: shard mutex held.
-        let table = unsafe { shard.table() };
-        let Locate::Found(ii, p) = table.locate(h, key) else {
+        let s = &mut *self.inner.borrow_mut();
+        let Locate::Found(ii, idx) = s.locate(hash_of(key), key) else {
             return None;
         };
-        let row = unsafe { &*p };
-        let snap = unsafe { row.snapshot() };
-        inner.payload_bytes -= Shard::row_cost(row, &snap);
-        // SAFETY: shard mutex held; `p` occupies slot `ii`.
-        unsafe { self.unlink(shard, &mut inner, ii, p, &guard) };
-        StoreStats::bump(&self.stats.removals);
-        Some(snap)
+        s.stats.removals += 1;
+        Some(s.unlink(ii, idx).snap)
     }
 
-    /// True when the key has stored data. Lock-free.
+    /// True when the key has stored data.
     pub fn contains(&self, key: &Key) -> bool {
-        let (shard, h) = self.route(key);
-        let guard = epoch::pin();
-        // SAFETY: pinned.
-        match unsafe { self.lookup(shard, h, key) } {
-            Some(p) => !unsafe { (*p).peek(&guard) }.is_empty(),
-            None => false,
+        let s = &mut *self.inner.borrow_mut();
+        match s.locate(hash_of(key), key) {
+            Locate::Found(_, idx) => !s.rows.get(idx).snap.is_empty(),
+            Locate::Vacant(_) => false,
         }
     }
 
@@ -747,141 +628,68 @@ impl MemStore {
     /// column). The row is created if absent, so monitors can watch keys
     /// that do not exist yet.
     pub fn add_monitor(&self, key: &Key, monitor: u32) {
-        let (shard, h) = self.route(key);
-        let guard = epoch::pin();
-        let mut inner = self.lock_shard(shard);
-        // SAFETY: shard mutex held.
-        match unsafe { shard.table() }.locate(h, key) {
-            Locate::Found(_, p) => {
-                // SAFETY: meta is writer-owned; mutex held.
-                let meta = unsafe { (*p).meta_mut() };
-                if !meta.monitors.contains(&monitor) {
-                    meta.monitors.push(monitor);
+        let s = &mut *self.inner.borrow_mut();
+        let h = hash_of(key);
+        match s.locate(h, key) {
+            Locate::Found(_, idx) => {
+                let monitors = &mut s.rows.get_mut(idx).meta.monitors;
+                if !monitors.contains(&monitor) {
+                    monitors.push(monitor);
                 }
             }
-            Locate::Vacant(_) => {
-                inner.payload_bytes += key.len() + ROW_OVERHEAD;
-                let row = Row::new(
-                    key.clone(),
-                    h,
-                    RowSnapshot::empty(),
-                    RowMeta {
+            Locate::Vacant(ii) => s.insert_row(
+                ii,
+                Row {
+                    key: key.clone(),
+                    hash: h,
+                    stamp: 0,
+                    snap: RowSnapshot::empty(),
+                    meta: RowMeta {
                         dirty: false,
                         pending_old: None,
                         monitors: vec![monitor],
                     },
-                    0,
-                );
-                self.insert_row(shard, &mut inner, h, row, &guard);
-            }
+                },
+            ),
         }
     }
 
     /// Removes a monitor id from a key.
     pub fn remove_monitor(&self, key: &Key, monitor: u32) {
-        let (shard, h) = self.route(key);
-        let _guard = epoch::pin();
-        let _inner = self.lock_shard(shard);
-        // SAFETY: shard mutex held.
-        if let Locate::Found(_, p) = unsafe { shard.table() }.locate(h, key) {
-            // SAFETY: meta is writer-owned; mutex held.
-            unsafe { (*p).meta_mut() }
-                .monitors
-                .retain(|&m| m != monitor);
+        let s = &mut *self.inner.borrow_mut();
+        if let Locate::Found(_, idx) = s.locate(hash_of(key), key) {
+            s.rows.get_mut(idx).meta.monitors.retain(|&m| m != monitor);
         }
     }
 
-    /// Sweeps all shards for dirty rows (the trigger scanner's pass),
-    /// clearing their dirty flags. Returns the collected records.
-    ///
-    /// Records hold refcounted snapshots taken under the shard lock and
-    /// handed back outside it, so filters/actions never run while holding
-    /// storage locks.
+    /// Sweeps the store for dirty rows (the trigger scanner's pass, paper
+    /// Sec. IV-C), clearing their dirty flags. Returns exactly the rows
+    /// dirtied since the previous sweep, as refcounted snapshots, so
+    /// filters and actions run outside the store.
     pub fn scan_dirty(&self) -> Vec<DirtyRecord> {
-        self.scan_dirty_partition(0, 1)
-    }
-
-    /// Partitioned dirty sweep: scans only the shards belonging to
-    /// partition `part` of `parts` (the paper starts "several threads
-    /// according to the data size to scan the Dirty and Monitored fields";
-    /// each thread takes one partition).
-    pub fn scan_dirty_partition(&self, part: usize, parts: usize) -> Vec<DirtyRecord> {
-        assert!(
-            parts > 0 && part < parts,
-            "invalid partition {part}/{parts}"
-        );
         let mut out = Vec::new();
-        let guard = epoch::pin();
-        for shard in self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % parts == part)
-            .map(|(_, s)| s)
-        {
-            let _inner = self.lock_shard(shard);
-            // SAFETY: shard mutex held.
-            let table = unsafe { shard.table() };
-            for slot in table.slots.iter() {
-                if !is_live(slot.meta.load(Ordering::Relaxed)) {
-                    continue;
-                }
-                let p = slot.row.load(Ordering::Relaxed);
-                let row = unsafe { &*p };
-                // SAFETY: meta is writer-owned; mutex held.
-                let meta = unsafe { row.meta_mut() };
-                if !meta.dirty {
-                    continue;
-                }
-                meta.dirty = false;
-                let old = meta.pending_old.take().unwrap_or_default();
-                out.push(DirtyRecord {
-                    key: row.key.clone(),
-                    old,
-                    new: unsafe { row.snapshot() },
-                    monitors: meta.monitors.clone(),
-                });
+        for row in self.inner.borrow_mut().rows.iter_mut() {
+            if !row.meta.dirty {
+                continue;
             }
+            row.meta.dirty = false;
+            out.push(DirtyRecord {
+                key: row.key.clone(),
+                old: row.meta.pending_old.take().unwrap_or_default(),
+                new: row.snap.clone(),
+                monitors: row.meta.monitors.clone(),
+            });
         }
-        drop(guard);
         out
     }
 
-    /// Pinned, lock-free walk over every row that holds data, checked by
-    /// a borrowed peek (no refcount traffic). Rows written concurrently
-    /// may or may not be seen. The pin outlives every call of `f`, so `f`
-    /// may take [`Row::snapshot`]s.
-    fn walk(&self, mut f: impl FnMut(&Row)) {
-        let guard = epoch::pin();
-        for shard in self.shards.iter() {
-            // SAFETY: pinned.
-            let table = unsafe { shard.table() };
-            for slot in table.slots.iter() {
-                if !is_live(slot.meta.load(Ordering::Acquire)) {
-                    continue;
-                }
-                let p = slot.row.load(Ordering::Acquire);
-                if p.is_null() {
-                    continue;
-                }
-                // SAFETY: pinned before the row was loaded from the table.
-                let row = unsafe { &*p };
-                if !unsafe { row.peek(&guard) }.is_empty() {
-                    f(row);
-                }
-            }
-        }
-        drop(guard);
-    }
-
     /// Snapshots all rows whose key satisfies `pred` (vnode migration
-    /// source). Lock-free; snapshots are refcount bumps.
+    /// source); snapshots are refcount bumps.
     pub fn collect_matching(&self, mut pred: impl FnMut(&Key) -> bool) -> Vec<(Key, RowSnapshot)> {
         let mut out = Vec::new();
-        self.walk(|row| {
-            if pred(&row.key) {
-                // SAFETY: `walk` holds the pin.
-                out.push((row.key.clone(), unsafe { row.snapshot() }));
+        self.for_each_row(|key, snap| {
+            if pred(key) {
+                out.push((key.clone(), snap.clone()));
             }
         });
         out
@@ -895,64 +703,45 @@ impl MemStore {
     /// and their pending dirty state is discarded (this node no longer
     /// dispatches for them). Returns how many rows were affected.
     pub fn remove_matching(&self, mut pred: impl FnMut(&Key) -> bool) -> usize {
+        let s = &mut *self.inner.borrow_mut();
         let mut removed = 0;
-        let guard = epoch::pin();
-        for shard in self.shards.iter() {
-            let mut inner = self.lock_shard(shard);
-            // SAFETY: shard mutex held.
-            let table = unsafe { shard.table() };
-            for ii in 0..table.capacity() {
-                let slot = &table.slots[ii];
-                if !is_live(slot.meta.load(Ordering::Relaxed)) {
-                    continue;
-                }
-                let p = slot.row.load(Ordering::Relaxed);
-                let row = unsafe { &*p };
-                if !pred(&row.key) {
-                    continue;
-                }
-                // SAFETY: meta is writer-owned; mutex held.
-                let meta = unsafe { row.meta_mut() };
-                if meta.monitors.is_empty() {
-                    let snap = unsafe { row.peek(&guard) };
-                    inner.payload_bytes -= Shard::row_cost(row, snap);
-                    // SAFETY: mutex held; `p` occupies slot `ii`.
-                    unsafe { self.unlink(shard, &mut inner, ii, p, &guard) };
-                    removed += 1;
-                } else if !unsafe { row.peek(&guard) }.is_empty() {
-                    inner.payload_bytes -= payload_of(unsafe { row.peek(&guard) });
-                    // SAFETY: writer lock + guard held.
-                    unsafe { row.replace_snap(RowSnapshot::empty(), &guard) };
-                    meta.dirty = false;
-                    meta.pending_old = None;
-                    removed += 1;
-                }
+        for ii in 0..s.table.capacity() {
+            let slot = s.table.slots[ii];
+            if !is_live(slot.meta) {
+                continue;
+            }
+            let row = s.rows.get_mut(slot.row);
+            if !pred(&row.key) {
+                continue;
+            }
+            if row.meta.monitors.is_empty() {
+                s.unlink(ii, slot.row);
+                removed += 1;
+            } else if !row.snap.is_empty() {
+                row.meta.dirty = false;
+                row.meta.pending_old = None;
+                s.replace_snap(slot.row, RowSnapshot::empty());
+                removed += 1;
             }
         }
-        drop(guard);
         removed
     }
 
     /// Visits every stored row as a full snapshot — version list *and* row
     /// clock — for the persistence snapshot writer and the anti-entropy
-    /// tree builder. Lock-free; snapshots are refcount bumps.
+    /// tree builder. Borrows the rows' own snapshots: no refcount traffic.
     pub fn for_each_row(&self, mut f: impl FnMut(&Key, &RowSnapshot)) {
-        self.walk(|row| {
-            // SAFETY: `walk` holds the pin.
-            let snap = unsafe { row.snapshot() };
-            // A writer may have emptied the row since the peek.
-            if !snap.is_empty() {
-                f(&row.key, &snap);
+        for row in self.inner.borrow().rows.iter() {
+            if !row.snap.is_empty() {
+                f(&row.key, &row.snap);
             }
-        });
+        }
     }
 
-    /// Number of rows with data. Counts from borrowed peeks — no per-row
-    /// refcount traffic — because nodes call it on every stats tick.
+    /// Number of rows with data: a maintained count, O(1) — nodes read it
+    /// on every stats tick.
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        self.walk(|_| n += 1);
-        n
+        self.inner.borrow().data_rows
     }
 
     /// True when no row has data.
@@ -962,150 +751,40 @@ impl MemStore {
 
     /// Approximate bytes charged against the budget.
     pub fn payload_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| self.lock_shard(s).payload_bytes)
-            .sum()
+        self.inner.borrow().payload_bytes
     }
 
     /// Physical footprint of the index and row arena.
     pub fn footprint(&self) -> StoreFootprint {
-        let guard = epoch::pin();
-        let mut fp = StoreFootprint::default();
-        for shard in self.shards.iter() {
-            let inner = self.lock_shard(shard);
-            fp.rows += inner.live;
-            // SAFETY: shard mutex held.
-            fp.table_slots += unsafe { shard.table() }.capacity();
-            fp.slab_pages += shard.slab.pages();
+        let s = self.inner.borrow();
+        StoreFootprint {
+            rows: s.live,
+            table_slots: s.table.capacity(),
+            slab_pages: s.rows.pages(),
+            slab_cells: s.rows.pages() * PAGE,
         }
-        drop(guard);
-        fp.slab_cells = fp.slab_pages * PAGE;
-        fp
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.inner.borrow().stats
     }
 
-    /// Engine-internals snapshot: probe lengths, lock waits, rehashes,
-    /// eviction sampling quality, slab occupancy, and the process-wide
-    /// epoch reclamation stats.
+    /// Engine-internals snapshot: probe lengths, rehashes, eviction
+    /// sampling quality, batch shapes and slab occupancy.
     pub fn engine_stats(&self) -> EngineSnapshot {
-        let mut snap = EngineSnapshot {
-            probe_len: self.engine.probe_len.snapshot(),
-            locks: self.engine.locks.load(Ordering::Relaxed),
-            lock_waits: self.engine.lock_waits.load(Ordering::Relaxed),
-            lock_wait: self.engine.lock_wait_micros.snapshot(),
-            rehashes: self.engine.rehashes.load(Ordering::Relaxed),
-            rehash_rows_moved: self.engine.rehash_rows_moved.load(Ordering::Relaxed),
-            evict_rounds: self.engine.evict_rounds.load(Ordering::Relaxed),
-            evict_sampled: self.engine.evict_sampled.load(Ordering::Relaxed),
-            evict_exact_rounds: self.engine.evict_exact_rounds.load(Ordering::Relaxed),
-            batch_applies: self.engine.batch_applies.load(Ordering::Relaxed),
-            batch_ops: self.engine.batch_ops.load(Ordering::Relaxed),
-            sibling_set: self.engine.sibling_set.snapshot(),
-            epoch: epoch::stats(),
-            ..EngineSnapshot::default()
-        };
-        let guard = epoch::pin();
-        for shard in self.shards.iter() {
-            let inner = self.lock_shard(shard);
-            snap.live_rows += inner.live as u64;
-            snap.tombstones += inner.tombs as u64;
-            // SAFETY: shard mutex held.
-            snap.table_slots += unsafe { shard.table() }.capacity() as u64;
-            snap.slab_pages += shard.slab.pages() as u64;
-            snap.slab_free_cells += shard.slab.free_cells() as u64;
-        }
-        drop(guard);
-        snap.slab_cells = snap.slab_pages * PAGE as u64;
-        snap
-    }
-
-    /// Evicts lowest-stamp unmonitored rows until the shard fits its
-    /// budget. Samples up to [`EVICT_SAMPLE`] live rows per round from a
-    /// roving cursor — exact LRU for shards at or below the sample size,
-    /// memcached-style approximation beyond it.
-    fn evict_from(&self, shard: &Shard, inner: &mut ShardInner, guard: &Guard, budget: usize) {
-        sedna_obs::prof_scope!("store.evict");
-        let mut attempts = inner.live;
-        while inner.payload_bytes > budget && inner.live > 1 && attempts > 0 {
-            attempts -= 1;
-            // SAFETY: shard mutex held.
-            let table = unsafe { shard.table() };
-            let cap = table.capacity();
-            let mut victim: Option<(usize, *mut Row, u64)> = None;
-            let mut seen = 0;
-            let mut i = inner.evict_cursor % cap;
-            for _ in 0..cap {
-                let slot = &table.slots[i];
-                if is_live(slot.meta.load(Ordering::Relaxed)) {
-                    let p = slot.row.load(Ordering::Relaxed);
-                    let row = unsafe { &*p };
-                    // SAFETY: meta is writer-owned; mutex held.
-                    if unsafe { row.meta() }.monitors.is_empty() {
-                        let stamp = row.stamp.load(Ordering::Relaxed);
-                        if victim.is_none_or(|(_, _, s)| stamp < s) {
-                            victim = Some((i, p, stamp));
-                        }
-                        seen += 1;
-                        if seen >= EVICT_SAMPLE {
-                            break;
-                        }
-                    }
-                }
-                i = (i + 1) % cap;
-            }
-            inner.evict_cursor = (i + 1) % cap;
-            EngineStats::add(&self.engine.evict_rounds, 1);
-            EngineStats::add(&self.engine.evict_sampled, seen as u64);
-            if seen < EVICT_SAMPLE {
-                // The scan ran out of candidates before filling the sample:
-                // every evictable row was considered, so this pick is exact
-                // LRU, not an approximation.
-                EngineStats::add(&self.engine.evict_exact_rounds, 1);
-            }
-            let Some((ii, p, stamp)) = victim else {
-                break; // every remaining row is monitored
-            };
-            let row = unsafe { &*p };
-            let snap = unsafe { row.peek(guard) };
-            inner.payload_bytes -= Shard::row_cost(row, snap);
-            // SAFETY: mutex held; `p` occupies slot `ii`.
-            unsafe { self.unlink(shard, inner, ii, p, guard) };
-            StoreStats::bump(&self.stats.evictions);
-            flight::record(FlightKind::Evict, stamp);
+        let s = self.inner.borrow();
+        EngineSnapshot {
+            live_rows: s.live as u64,
+            tombstones: s.tombs as u64,
+            table_slots: s.table.capacity() as u64,
+            slab_pages: s.rows.pages() as u64,
+            slab_cells: (s.rows.pages() * PAGE) as u64,
+            slab_free_cells: s.rows.free_cells() as u64,
+            ..s.engine.clone()
         }
     }
 }
-
-impl Drop for MemStore {
-    fn drop(&mut self) {
-        // Exclusive access: release live rows directly and free the
-        // tables. Rows already retired are handled by their deferred
-        // closures (which keep the slab alive via `Arc`).
-        for shard in self.shards.iter_mut() {
-            let table_ptr = *shard.table.get_mut();
-            // SAFETY: pointer was `Box::into_raw`; no readers remain.
-            let table = unsafe { Box::from_raw(table_ptr) };
-            for slot in table.slots.iter() {
-                if is_live(slot.meta.load(Ordering::Relaxed)) {
-                    let p = slot.row.load(Ordering::Relaxed);
-                    // SAFETY: exclusive access; row is live in this table.
-                    unsafe { shard.slab.release((*p).slab_idx) };
-                }
-            }
-        }
-        // Nudge the epoch along so retired snapshots/tables/rows from
-        // recent writes drain promptly instead of at process exit.
-        for _ in 0..3 {
-            epoch::flush();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1116,11 +795,7 @@ mod tests {
     }
 
     fn store() -> MemStore {
-        MemStore::new(StoreConfig {
-            shards: 4,
-            memory_budget: None,
-            ..StoreConfig::default()
-        })
+        MemStore::new(StoreConfig::default())
     }
 
     #[test]
@@ -1179,7 +854,6 @@ mod tests {
     fn eviction_respects_budget_and_lru_order() {
         // Budget sized to hold ~4 of 8 rows in a single shard.
         let s = MemStore::new(StoreConfig {
-            shards: 1,
             memory_budget: Some(4 * (3 + 20 + 32 + ROW_OVERHEAD)),
             ..StoreConfig::default()
         });
@@ -1202,7 +876,6 @@ mod tests {
     fn get_refreshes_lru_position() {
         let budget = 3 * (3 + 8 + 32 + ROW_OVERHEAD);
         let s = MemStore::new(StoreConfig {
-            shards: 1,
             memory_budget: Some(budget),
             ..StoreConfig::default()
         });
@@ -1224,7 +897,6 @@ mod tests {
     fn monitored_rows_are_not_evicted() {
         let budget = 2 * (3 + 8 + 32 + ROW_OVERHEAD);
         let s = MemStore::new(StoreConfig {
-            shards: 1,
             memory_budget: Some(budget),
             ..StoreConfig::default()
         });
@@ -1260,34 +932,6 @@ mod tests {
         let recs = s.scan_dirty();
         assert_eq!(recs[0].old[0].value, Value::from("v1"));
         assert_eq!(recs[0].new[0].value, Value::from("v2"));
-    }
-
-    #[test]
-    fn partitioned_scans_are_disjoint_and_complete() {
-        let s = MemStore::new(StoreConfig {
-            shards: 8,
-            memory_budget: None,
-            ..StoreConfig::default()
-        });
-        for i in 0..100 {
-            s.write_latest(&Key::from(format!("k{i}")), ts(i + 1, 0), Value::from("v"));
-        }
-        let parts = 3;
-        let mut seen = std::collections::HashSet::new();
-        for p in 0..parts {
-            for rec in s.scan_dirty_partition(p, parts) {
-                assert!(seen.insert(rec.key.clone()), "{:?} scanned twice", rec.key);
-            }
-        }
-        assert_eq!(seen.len(), 100, "every dirty row scanned exactly once");
-        assert!(s.scan_dirty().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid partition")]
-    fn scan_partition_bounds_checked() {
-        let s = MemStore::new(StoreConfig::default());
-        s.scan_dirty_partition(3, 3);
     }
 
     #[test]
@@ -1441,7 +1085,6 @@ mod tests {
     fn batched_writes_respect_budget_and_lru() {
         let budget = 4 * (3 + 20 + 32 + ROW_OVERHEAD);
         let s = MemStore::new(StoreConfig {
-            shards: 1,
             memory_budget: Some(budget),
             ..StoreConfig::default()
         });
@@ -1466,11 +1109,7 @@ mod tests {
         // Heavy insert/remove churn over a small live set: the table must
         // stay right-sized (tombstones cleaned by rehash) and the slab
         // must recycle cells instead of growing pages.
-        let s = MemStore::new(StoreConfig {
-            shards: 1,
-            memory_budget: None,
-            ..StoreConfig::default()
-        });
+        let s = MemStore::new(StoreConfig::default());
         for round in 0..2_000u64 {
             let k = Key::from(format!("r-{round}"));
             s.write_latest(&k, ts(round + 1, 0), Value::from("v"));
@@ -1492,13 +1131,21 @@ mod tests {
             "slab must recycle cells, got {} pages",
             fp.slab_pages
         );
+        // No grace period: the cell a remove frees is the one the very
+        // next insert takes.
+        let free = s.engine_stats().slab_free_cells;
+        let k = Key::from("extra");
+        s.write_latest(&k, ts(1, 0), Value::from("v"));
+        assert_eq!(s.engine_stats().slab_free_cells, free - 1);
+        s.remove(&k);
+        assert_eq!(s.engine_stats().slab_free_cells, free);
+        assert_eq!(s.footprint().slab_pages, fp.slab_pages);
     }
 
     #[test]
     fn engine_stats_see_probes_rehashes_and_evictions() {
         let budget = 6 * (4 + 8 + 32 + ROW_OVERHEAD);
         let s = MemStore::new(StoreConfig {
-            shards: 1,
             memory_budget: Some(budget),
             ..StoreConfig::default()
         });
@@ -1509,20 +1156,16 @@ mod tests {
                 Value::from("12345678"),
             );
         }
-        // Enough reads that the 1-in-64 probe sampler fires several times.
+        // Every probe ticks the 1-in-64 sampler: 640 reads are 10 samples.
+        let sampled = s.engine_stats().probe_len.count;
         for _ in 0..10 {
             for i in 0..64 {
                 let _ = s.read_latest(&Key::from(format!("k-{i:02}")));
             }
         }
         let e = s.engine_stats();
-        assert!(
-            e.probe_len.count >= 5,
-            "probe samples: {}",
-            e.probe_len.count
-        );
+        assert_eq!(e.probe_len.count, sampled + 640 / PROBE_SAMPLE);
         assert!(e.probe_len.min >= 1);
-        assert!(e.locks as usize >= 64, "every write takes the shard lock");
         assert!(e.rehashes >= 1, "64 inserts into an 8-slot table must grow");
         assert!(e.rehash_rows_moved >= 1);
         assert!(e.evict_rounds >= 1, "budget pressure must evict");
@@ -1532,13 +1175,6 @@ mod tests {
         assert!(e.table_slots >= e.live_rows);
         assert!(e.slab_cells >= e.live_rows + e.slab_free_cells);
         assert!(e.slab_occupancy() > 0.0 && e.slab_occupancy() <= 1.0);
-        // The epoch section is live: writes retired snapshots.
-        assert!(e.epoch.pins > 0);
-        assert!(e.epoch.retires > 0);
-        assert_eq!(
-            e.epoch.pending,
-            e.epoch.retires.saturating_sub(e.epoch.frees)
-        );
     }
 
     #[test]
@@ -1573,7 +1209,42 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_lock_telemetry() {
+    fn resolver_merges_siblings_and_may_read_its_own_store() {
+        // A resolver is `Send + Sync`, so the only way it can reach the
+        // (non-`Sync`) store it is registered on is a thread-local.
+        thread_local! {
+            static STORE: std::cell::OnceCell<std::rc::Rc<MemStore>> =
+                const { std::cell::OnceCell::new() };
+        }
+        let s = std::rc::Rc::new(MemStore::new(StoreConfig {
+            resolution: ResolutionConfig::uniform(TablePolicy::Siblings),
+            ..StoreConfig::default()
+        }));
+        STORE.with(|c| assert!(c.set(s.clone()).is_ok()));
+        s.write_latest(&Key::from("sep"), ts(1, 0), Value::from("+"));
+        s.set_resolver(
+            b"cart".to_vec(),
+            Arc::new(|versions| {
+                let sep = STORE.with(|c| c.get().expect("set").read_latest(&Key::from("sep")));
+                let sep = sep.expect("written above").value;
+                let parts: Vec<&[u8]> = versions.iter().map(|v| v.value.as_bytes()).collect();
+                Value::from(parts.join(sep.as_bytes()))
+            }),
+        );
+        let key = Key::from("cart-1");
+        s.write_all(&key, ts(10, 1), Value::from("a"));
+        assert_eq!(s.read_latest(&key).unwrap().value, Value::from("a"));
+        s.write_all(&key, ts(11, 2), Value::from("b"));
+        let merged = s.read_latest(&key).expect("row exists");
+        assert_eq!(merged.ts, ts(11, 2), "stamped with the freshest dot");
+        let mut got = merged.value.as_bytes().to_vec();
+        got.sort_unstable();
+        assert_eq!(got, b"+ab");
+        assert_eq!(s.read_all(&key).unwrap().as_slice().len(), 2);
+    }
+
+    #[test]
+    fn batch_telemetry() {
         let s = store();
         let ops: Vec<BatchWrite> = (0..10)
             .map(|i| BatchWrite {
@@ -1588,73 +1259,9 @@ mod tests {
         let e = s.engine_stats();
         assert_eq!(e.batch_applies, 1);
         assert_eq!(e.batch_ops, 10);
-        // An empty batch is not an apply: no counter, no lock, no pin.
+        // An empty batch is not an apply.
         assert!(s.apply_batch(&[]).is_empty());
         assert!(s.get_many(&[]).is_empty());
-        let after = s.engine_stats();
-        assert_eq!(after.batch_applies, 1);
-        // The only locks since `e` are `engine_stats`' own, one per shard.
-        assert_eq!(after.locks, e.locks + s.shards.len() as u64);
-        // Single-threaded: the try_lock fast path never waits.
-        assert_eq!(e.lock_waits, 0);
-        assert_eq!(e.lock_wait.count, 0);
-    }
-
-    #[test]
-    fn concurrent_writers_and_readers_agree_on_lww() {
-        use std::sync::Arc;
-        let s = Arc::new(MemStore::new(StoreConfig {
-            shards: 8,
-            memory_budget: None,
-            ..StoreConfig::default()
-        }));
-        let key = Key::from("contended");
-        let mut handles = Vec::new();
-        for origin in 0..4u32 {
-            let s = Arc::clone(&s);
-            let key = key.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1_000u64 {
-                    s.write_latest(&key, ts(i, origin), Value::from(format!("{origin}-{i}")));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        // The winner must be the globally max timestamp: micros 999, the
-        // highest origin that wrote it (origin 3).
-        let v = s.read_latest(&key).unwrap();
-        assert_eq!(v.ts, ts(999, 3));
-        assert_eq!(v.value, Value::from("3-999"));
-    }
-
-    #[test]
-    fn concurrent_write_all_keeps_all_sources() {
-        use std::sync::Arc;
-        let s = Arc::new(MemStore::new(StoreConfig {
-            shards: 8,
-            memory_budget: None,
-            ..StoreConfig::default()
-        }));
-        let key = Key::from("list");
-        let mut handles = Vec::new();
-        for origin in 0..8u32 {
-            let s = Arc::clone(&s);
-            let key = key.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..200u64 {
-                    s.write_all(&key, ts(i, origin), Value::from(format!("{i}")));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let list = s.read_all(&key).unwrap();
-        assert_eq!(list.len(), 8, "one element per source");
-        for v in list.iter() {
-            assert_eq!(v.ts.micros, 199, "each source's newest element wins");
-        }
+        assert_eq!(s.engine_stats().batch_applies, 1);
     }
 }

@@ -1,38 +1,26 @@
-//! Lock-free-readable open-addressing index.
+//! Open-addressing index.
 //!
-//! Each shard owns one [`Table`]: a power-of-two array of slots, each a
-//! `(meta, row)` atomic pair. `meta` is `EMPTY`, `TOMB`, or the row hash
-//! tagged with the live bit; probing is linear and terminates at the first
-//! `EMPTY` slot.
+//! A [`Table`] is a power-of-two array of `(meta, row)` slots. `meta` is
+//! `EMPTY`, `TOMB`, or the row hash tagged with the live bit; `row` is the
+//! row's cell index in the store's [`RowSlab`]. Probing is linear and
+//! terminates at the first `EMPTY` slot.
 //!
-//! **Readers** are pinned (epoch) but lockless: load `meta` (Acquire), and
-//! on a tag match load `row` (Acquire) and compare the key. Writers store
-//! `row` *before* `meta` with Release ordering, so a reader that observes
-//! a live tag observes the row pointer too. A stale probe can surface a
-//! just-deleted row or miss a just-inserted one — both linearize the read
-//! before/after the concurrent write, which is all the store promises.
-//!
-//! **Writers** (shard mutex held) insert into the first tombstone of the
-//! probe chain or the terminating empty slot, delete by tombstoning, and
-//! rehash into a fresh table when occupancy (live + tombstones) passes
-//! 3/4. The old table is retired through the epoch, so readers mid-probe
-//! on it finish safely; they still observe current values because row
-//! *contents* are reached through the shared [`Row`] pointers, which both
-//! tables reference.
-
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+//! Inserts take the first tombstone of the probe chain or the terminating
+//! empty slot, deletes tombstone, and the store swaps in a fresh table when
+//! occupancy (live + tombstones) passes 3/4. The table has one owner — the
+//! store's cell — so every operation is a plain load or store.
 
 use sedna_common::Key;
 
-use crate::row::Row;
+use crate::row::RowSlab;
 
-pub(crate) const EMPTY: u64 = 0;
-pub(crate) const TOMB: u64 = 1;
+const EMPTY: u64 = 0;
+const TOMB: u64 = 1;
 const LIVE_BIT: u64 = 1 << 63;
 
 /// Tags a hash as a live slot marker (cannot collide with EMPTY/TOMB).
 #[inline]
-pub(crate) fn tag(hash: u64) -> u64 {
+fn tag(hash: u64) -> u64 {
     hash | LIVE_BIT
 }
 
@@ -41,8 +29,9 @@ pub(crate) fn is_live(meta: u64) -> bool {
     meta & LIVE_BIT != 0
 }
 
-/// Finalizer-mixes the shard-selection hash so probe positions are not
-/// correlated with the shard index bits (splitmix64's finalizer).
+/// Finalizer-mixes a key's FNV-1a hash (splitmix64's finalizer): the low
+/// bits of FNV-1a depend only on the low bits of the key bytes, and linear
+/// probing starts from exactly those bits.
 #[inline]
 pub(crate) fn mix(mut h: u64) -> u64 {
     h ^= h >> 30;
@@ -52,9 +41,11 @@ pub(crate) fn mix(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
+#[derive(Clone, Copy)]
 pub(crate) struct TableSlot {
-    pub meta: AtomicU64,
-    pub row: AtomicPtr<Row>,
+    pub meta: u64,
+    /// Slab cell of the row; meaningful only while `meta` is live.
+    pub row: u32,
 }
 
 pub(crate) struct Table {
@@ -62,28 +53,29 @@ pub(crate) struct Table {
     pub slots: Box<[TableSlot]>,
 }
 
-/// Writer-side probe result.
+/// Probe result.
 pub(crate) enum Locate {
-    /// Key present: slot index and row pointer.
-    Found(usize, *mut Row),
+    /// Key present: slot index and the row's slab cell.
+    Found(usize, u32),
     /// Key absent: best insert position (first tombstone in the chain,
     /// else the terminating empty slot).
     Vacant(usize),
 }
 
 impl Table {
-    pub fn boxed(capacity: usize) -> Box<Table> {
+    pub fn new(capacity: usize) -> Table {
         debug_assert!(capacity.is_power_of_two());
-        let slots: Box<[TableSlot]> = (0..capacity)
-            .map(|_| TableSlot {
-                meta: AtomicU64::new(EMPTY),
-                row: AtomicPtr::new(std::ptr::null_mut()),
-            })
-            .collect();
-        Box::new(Table {
+        Table {
             mask: (capacity - 1) as u64,
-            slots,
-        })
+            slots: vec![
+                TableSlot {
+                    meta: EMPTY,
+                    row: 0
+                };
+                capacity
+            ]
+            .into_boxed_slice(),
+        }
     }
 
     #[inline]
@@ -96,94 +88,62 @@ impl Table {
         (i & self.mask) as usize
     }
 
-    /// Reader probe: the row holding `key`, if present, plus the number
-    /// of slots inspected (probe length, for the engine telemetry).
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold an epoch guard; returned pointers are valid for
-    /// the guard's lifetime.
-    pub unsafe fn lookup(&self, hash: u64, key: &Key) -> (Option<*mut Row>, u32) {
+    /// Finds the key or its insert slot, plus the number of slots
+    /// inspected (probe length, for the engine telemetry).
+    #[inline]
+    pub fn locate(&self, rows: &RowSlab, hash: u64, key: &Key) -> (Locate, u32) {
         let t = tag(hash);
         let mut i = hash;
         let mut probes = 0u32;
-        loop {
-            let slot = &self.slots[self.idx(i)];
-            let m = slot.meta.load(Ordering::Acquire);
-            probes += 1;
-            if m == EMPTY {
-                return (None, probes);
-            }
-            if m == t {
-                let p = slot.row.load(Ordering::Acquire);
-                if !p.is_null() {
-                    let row = &*p;
-                    if row.hash == hash && row.key == *key {
-                        return (Some(p), probes);
-                    }
-                }
-            }
-            i = i.wrapping_add(1);
-        }
-    }
-
-    /// Writer probe (shard mutex held): find the key or the insert slot.
-    pub fn locate(&self, hash: u64, key: &Key) -> Locate {
-        let t = tag(hash);
-        let mut i = hash;
         let mut first_tomb: Option<usize> = None;
         loop {
             let ii = self.idx(i);
-            let slot = &self.slots[ii];
-            let m = slot.meta.load(Ordering::Acquire);
-            if m == EMPTY {
-                return Locate::Vacant(first_tomb.unwrap_or(ii));
+            let slot = self.slots[ii];
+            probes += 1;
+            if slot.meta == EMPTY {
+                return (Locate::Vacant(first_tomb.unwrap_or(ii)), probes);
             }
-            if m == TOMB {
+            if slot.meta == TOMB {
                 first_tomb.get_or_insert(ii);
-            } else if m == t {
-                let p = slot.row.load(Ordering::Acquire);
-                if !p.is_null() {
-                    // SAFETY: writer lock held; live rows stay valid.
-                    let row = unsafe { &*p };
-                    if row.hash == hash && row.key == *key {
-                        return Locate::Found(ii, p);
-                    }
+            } else if slot.meta == t {
+                let row = rows.get(slot.row);
+                if row.hash == hash && row.key == *key {
+                    return (Locate::Found(ii, slot.row), probes);
                 }
             }
             i = i.wrapping_add(1);
         }
     }
 
-    /// Publishes `row` in slot `ii`. Returns true when the slot was a
+    /// Stores `row` in slot `ii`. Returns true when the slot was a
     /// tombstone (the caller balances its tombstone count).
-    pub fn publish(&self, ii: usize, row: *mut Row, hash: u64) -> bool {
-        let slot = &self.slots[ii];
-        let was_tomb = slot.meta.load(Ordering::Relaxed) == TOMB;
-        // Row first, tag second: a reader that sees the tag sees the row.
-        slot.row.store(row, Ordering::Release);
-        slot.meta.store(tag(hash), Ordering::Release);
+    pub fn publish(&mut self, ii: usize, row: u32, hash: u64) -> bool {
+        let slot = &mut self.slots[ii];
+        let was_tomb = slot.meta == TOMB;
+        *slot = TableSlot {
+            meta: tag(hash),
+            row,
+        };
         was_tomb
     }
 
-    /// Tombstones slot `ii`, unlinking its row from new probes.
-    pub fn erase(&self, ii: usize) {
-        let slot = &self.slots[ii];
-        slot.meta.store(TOMB, Ordering::Release);
-        slot.row.store(std::ptr::null_mut(), Ordering::Release);
+    /// Tombstones slot `ii`.
+    pub fn erase(&mut self, ii: usize) {
+        self.slots[ii].meta = TOMB;
     }
 
-    /// Writer-only reinsert during rehash: the new table is not yet
-    /// published, so plain ordering suffices (the table-pointer Release
-    /// store publishes everything).
-    pub fn rehash_insert(&self, row: *mut Row, hash: u64) {
+    /// Insert into a table that holds no tombstones and not this key
+    /// (fresh from a rehash): the first empty slot of the chain is the
+    /// place. `hash` may be the key's hash or its slot tag.
+    pub fn insert_new(&mut self, row: u32, hash: u64) {
         let mut i = hash;
         loop {
             let ii = self.idx(i);
-            let slot = &self.slots[ii];
-            if slot.meta.load(Ordering::Relaxed) == EMPTY {
-                slot.row.store(row, Ordering::Relaxed);
-                slot.meta.store(tag(hash), Ordering::Relaxed);
+            if self.slots[ii].meta == EMPTY {
+                self.slots[ii] = TableSlot {
+                    meta: tag(hash),
+                    row,
+                };
                 return;
             }
             i = i.wrapping_add(1);

@@ -1,4 +1,4 @@
-//! Property-based tests: the sharded store must behave exactly like a
+//! Property-based tests: the store must behave exactly like a
 //! simple single-threaded reference model for any interleaving of
 //! `write_latest` / `write_all` / `read_*` / `remove` / `merge`.
 //!
@@ -180,7 +180,7 @@ proptest! {
     /// agreement op-by-op and at the end.
     #[test]
     fn store_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let store = MemStore::new(StoreConfig { shards: 4, memory_budget: None, ..StoreConfig::default() });
+        let store = MemStore::new(StoreConfig::default());
         let mut model = DvvModel::default();
         for op in ops {
             match op {
@@ -230,6 +230,8 @@ proptest! {
                     model.merge(key, &incoming);
                 }
             }
+            let with_data = model.rows.values().filter(|r| !r.vals.is_empty()).count();
+            prop_assert_eq!(store.len(), with_data);
         }
         // Final state agreement on every key.
         for key in 0..8u8 {
@@ -243,7 +245,7 @@ proptest! {
     fn payload_accounting_never_negative_and_len_consistent(
         ops in proptest::collection::vec(op_strategy(), 1..100)
     ) {
-        let store = MemStore::new(StoreConfig { shards: 2, memory_budget: None, ..StoreConfig::default() });
+        let store = MemStore::new(StoreConfig::default());
         for op in ops {
             match op {
                 Op::WriteLatest { key, micros, origin } => {
@@ -272,7 +274,7 @@ proptest! {
         keys in proptest::collection::vec(0u8..32, 10..100),
     ) {
         let budget = 1_500usize;
-        let store = MemStore::new(StoreConfig { shards: 1, memory_budget: Some(budget), ..StoreConfig::default() });
+        let store = MemStore::new(StoreConfig { memory_budget: Some(budget), ..StoreConfig::default() });
         for (i, key) in keys.iter().enumerate() {
             store.write_latest(&key_of(*key), ts(i as u64 + 1, 0), Value::from("x".repeat(40)));
             // One oversized row may transiently exceed; bound is budget plus

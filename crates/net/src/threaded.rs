@@ -640,7 +640,7 @@ mod tests {
         for worker in &handle.handles {
             while !worker.is_finished() {
                 assert!(
-                    start.elapsed() < Duration::from_millis(100),
+                    start.elapsed() < Duration::from_secs(10),
                     "a worker outlived the halt"
                 );
                 std::thread::yield_now();

@@ -6,8 +6,9 @@
 //!
 //! * **queue** — issue to the first replica frame leaving the client
 //!   (client-side staging and batch coalescing delay);
-//! * **lock** — shard-lock wait on the critical replica (the replica whose
-//!   ack completed the quorum), reported back in the ack;
+//! * **lock** — lock wait the critical replica (the replica whose ack
+//!   completed the quorum) reports in its ack; a single-owner store
+//!   reports 0, so the segment is empty until something else fills it;
 //! * **apply** — the critical replica's store apply, *excluding* its lock
 //!   wait;
 //! * **net** — the critical replica's RPC round trip minus its apply (wire

@@ -5,8 +5,8 @@
 //! they cannot say *what the engine was doing* in the microseconds around
 //! the spike. The flight recorder fills that gap the way an aircraft
 //! black box does: every thread that touches the engine appends tiny
-//! events (epoch pin/unpin, shard-lock acquire/wait, rehash, eviction,
-//! batch apply) into its own fixed-size ring. Recording costs a handful
+//! events (rehash, eviction, batch apply, slow-op critical paths) into its
+//! own fixed-size ring. Recording costs a handful
 //! of relaxed stores into thread-owned cache lines — no shared-write
 //! contention, no allocation after the first event — so it stays on even
 //! in production.
@@ -34,27 +34,12 @@ pub const RING_EVENTS: usize = 1024;
 /// storm of slow ops does not turn the recorder into a copy loop.
 const ANOMALY_MIN_GAP_MICROS: u64 = 1_000_000;
 
-/// Compact event kinds. The discriminants are stable wire/dump codes —
-/// the epoch shim emits some of them through a plain `fn(u8, u64)` hook
-/// without depending on this crate.
+/// Compact event kinds. The discriminants are stable dump codes; 1–7 are
+/// retired (epoch and shard-lock kinds) and must not be reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum FlightKind {
-    /// Epoch guard pinned (arg: global epoch).
-    EpochPin = 1,
-    /// Outermost epoch guard dropped (arg: deferred-bag length).
-    EpochUnpin = 2,
-    /// An object was retired into the deferred bag (arg: bag length).
-    EpochRetire = 3,
-    /// Deferred destructors ran (arg: objects freed).
-    EpochFree = 4,
-    /// The global epoch advanced (arg: new epoch).
-    EpochAdvance = 5,
-    /// Shard writer mutex acquired uncontended (arg: shard index).
-    ShardLock = 6,
-    /// Shard writer mutex was contended (arg: wait nanos).
-    ShardLockWait = 7,
-    /// A shard's table was rehashed (arg: new capacity).
+    /// A store's table was rehashed (arg: new capacity).
     Rehash = 8,
     /// A row was evicted (arg: live rows sampled).
     Evict = 9,
@@ -72,16 +57,9 @@ pub enum FlightKind {
     CritPath = 14,
 }
 
-/// Human label for a dump code (stable even for hook-emitted raw codes).
+/// Human label for a dump code.
 pub fn kind_name(code: u8) -> &'static str {
     match code {
-        1 => "epoch_pin",
-        2 => "epoch_unpin",
-        3 => "epoch_retire",
-        4 => "epoch_free",
-        5 => "epoch_advance",
-        6 => "shard_lock",
-        7 => "shard_lock_wait",
         8 => "rehash",
         9 => "evict",
         10 => "batch_apply",
@@ -237,17 +215,10 @@ pub fn clock() -> u64 {
 /// Records one event into the calling thread's ring.
 #[inline]
 pub fn record(kind: FlightKind, arg: u64) {
-    record_raw(kind as u8, arg);
-}
-
-/// Records by raw code — the signature the epoch shim's event hook uses
-/// (a plain `fn(u8, u64)`, so the shim stays dependency-free).
-#[inline]
-pub fn record_raw(kind: u8, arg: u64) {
     if !ENABLED.load(Ordering::Relaxed) {
         return;
     }
-    RING.with(|r| r.push(kind, arg));
+    RING.with(|r| r.push(kind as u8, arg));
 }
 
 /// Decodes every registered ring (live, racy near each head).
@@ -464,7 +435,7 @@ mod tests {
         for i in 0..(RING_EVENTS as u64 + 100) {
             let h = ring.head.load(Ordering::Relaxed);
             let idx = (h as usize & (RING_EVENTS - 1)) * 2;
-            ring.slots[idx].store(u64::from(FlightKind::EpochPin as u8), Ordering::Relaxed);
+            ring.slots[idx].store(u64::from(FlightKind::Rehash as u8), Ordering::Relaxed);
             ring.slots[idx + 1].store(i, Ordering::Relaxed);
             ring.head.store(h + 1, Ordering::Relaxed);
         }
@@ -540,13 +511,13 @@ mod tests {
     #[test]
     fn json_is_well_formed_ish() {
         let _g = test_lock();
-        record(FlightKind::ShardLockWait, 1500);
+        record(FlightKind::BatchApply, 16);
         let j = render_json(16);
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"threads\":["));
         assert!(j.contains("\"ring_events\":"));
-        assert!(j.contains("shard_lock_wait"));
+        assert!(j.contains("batch_apply"));
         let text = render_text(8);
-        assert!(text.contains("shard_lock_wait"));
+        assert!(text.contains("batch_apply"));
     }
 }

@@ -20,8 +20,8 @@
 //! * [`window`] — rolling-window histograms and counter-rate tracking, the
 //!   time-local layer behind the admin surface's `/staleness` view;
 //! * [`flight`] — the hot-path flight recorder: per-thread fixed-size rings
-//!   of compact engine events (epoch pin/unpin, shard-lock waits, rehash,
-//!   eviction), frozen into a black-box dump when an anomaly fires;
+//!   of compact engine events (rehash, eviction, batch apply), frozen into
+//!   a black-box dump when an anomaly fires;
 //! * [`alert`] — the in-process SLO engine: declarative objectives,
 //!   multi-window burn-rate evaluation, and a pending → firing → resolved
 //!   state machine that journals transitions and dumps the flight recorder;

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The client owns the tree: it opens an RPC span per replica send, closes
-//! it on the ack (which carries the node's measured shard-lock hold time),
+//! it on the ack (which carries the node's measured store-apply time),
 //! marks the assembly point when the quorum decides, and appends a repair
 //! span per read-recovery push. Traces whose total latency crosses the
 //! configured slow-op threshold are promoted — spans and all — into the
@@ -33,15 +33,15 @@ pub enum SpanKind {
         replica: NodeId,
     },
     /// The node-side apply inside the RPC; `nanos` is the measured
-    /// shard-lock hold time reported back in the ack, `lock_nanos` how
-    /// long the apply *waited* for contended shard locks before that.
+    /// store-apply time reported back in the ack, `lock_nanos` the lock
+    /// wait the replica reported within it.
     NodeApply {
         /// The replica that applied.
         replica: NodeId,
-        /// Wall-clock nanoseconds the shard lock was held.
+        /// Wall-clock nanoseconds the store apply took.
         nanos: u64,
-        /// Wall-clock nanoseconds spent waiting on contended shard locks
-        /// within the apply (0 when every acquisition was uncontended).
+        /// Wall-clock nanoseconds of that spent waiting on locks (0 from a
+        /// single-owner store).
         lock_nanos: u64,
     },
     /// The quorum decision point (R or W acks assembled).

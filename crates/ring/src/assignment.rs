@@ -207,7 +207,18 @@ impl VNodeMap {
 
     /// Moves slots from the most- to the least-loaded member until the
     /// spread is at most one slot. Deterministic; appends to `plan`.
+    ///
+    /// A vnode already in `plan` is never stolen from: one mutation changes
+    /// at most one replica of any vnode, so two of its three holders always
+    /// carry over and an `R+W>N` read of the new set meets every write
+    /// acknowledged by the old one. A crash re-cover plus a steal from the
+    /// same vnode would leave a single survivor, and a read of the two
+    /// newcomers' transfer snapshots would go back in time.
     fn balance(&mut self, plan: &mut TransferPlan) {
+        let mut changed = vec![false; self.replicas.len()];
+        for t in plan.iter() {
+            changed[t.vnode.index()] = true;
+        }
         while let Some((&cold, &cold_load)) = self.loads.iter().min_by_key(|(n, l)| (**l, **n)) {
             let Some((donor, donor_load)) = self.most_loaded_other(cold) else {
                 break;
@@ -215,9 +226,10 @@ impl VNodeMap {
             if donor_load <= cold_load + 1 {
                 break;
             }
-            let Some(vnode) = self.first_stealable_vnode(donor, cold) else {
+            let Some(vnode) = self.first_stealable_vnode(donor, cold, &changed) else {
                 break;
             };
+            changed[vnode.index()] = true;
             self.replace_in_slot(vnode, donor, cold);
             plan.push(Transfer {
                 vnode,
@@ -440,12 +452,18 @@ impl VNodeMap {
             .map(|(n, l)| (*n, *l))
     }
 
-    /// Lowest-id vnode where `donor` holds a slot and `receiver` does not.
-    fn first_stealable_vnode(&self, donor: NodeId, receiver: NodeId) -> Option<VNodeId> {
+    /// Lowest-id vnode not flagged in `skip` where `donor` holds a slot and
+    /// `receiver` does not.
+    fn first_stealable_vnode(
+        &self,
+        donor: NodeId,
+        receiver: NodeId,
+        skip: &[bool],
+    ) -> Option<VNodeId> {
         self.replicas
             .iter()
             .enumerate()
-            .find(|(_, set)| set.contains(&donor) && !set.contains(&receiver))
+            .find(|(i, set)| !skip[*i] && set.contains(&donor) && !set.contains(&receiver))
             .map(|(i, _)| VNodeId(i as u32))
     }
 }
@@ -569,6 +587,41 @@ mod tests {
             let src = t.copy_from.expect("survivor exists with rf 3");
             assert_ne!(src, NodeId(2), "crashed node cannot be a source");
             assert!(before.replicas(t.vnode).contains(&src));
+        }
+    }
+
+    #[test]
+    fn one_mutation_changes_at_most_one_replica_per_vnode() {
+        // The chaos-test shape (25 vnodes, 5 nodes) and a larger one: after
+        // any single leave or join, every vnode keeps at least two of its
+        // three previous holders.
+        for (vnodes, nodes) in [(25, 5), (90, 9), (120, 6)] {
+            for victim in 0..nodes {
+                let mut m = map_with_nodes(vnodes, 3, nodes);
+                let before = m.clone();
+                m.leave(NodeId(victim), false);
+                m.check_invariants();
+                m.check_slot_balance();
+                let after_leave = m.clone();
+                m.join(NodeId(victim));
+                m.check_invariants();
+                m.check_slot_balance();
+                for (old, new) in [(&before, &after_leave), (&after_leave, &m)] {
+                    for v in (0..vnodes).map(VNodeId) {
+                        let kept = new
+                            .replicas(v)
+                            .iter()
+                            .filter(|n| old.replicas(v).contains(n))
+                            .count();
+                        assert!(
+                            kept >= 2,
+                            "{vnodes}/{nodes} victim {victim} {v:?}: {:?} -> {:?}",
+                            old.replicas(v),
+                            new.replicas(v)
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -61,8 +61,8 @@ impl JobRuntime {
     }
 }
 
-/// The dispatcher. Owns registered jobs; driven by scanner threads (or a
-/// deterministic caller) through [`TriggerEngine::scan_once`].
+/// The dispatcher. Owns registered jobs; driven by the store's owner
+/// through [`TriggerEngine::scan_once`].
 pub struct TriggerEngine {
     jobs: RwLock<HashMap<JobId, Arc<JobRuntime>>>,
     next_job: AtomicU64,
@@ -150,20 +150,6 @@ impl TriggerEngine {
     /// One full sweep: scan the store's dirty rows and dispatch them.
     pub fn scan_once(&self, store: &MemStore, sink: &dyn TriggerSink, now: Micros) -> ScanStats {
         let records = store.scan_dirty();
-        self.dispatch(&records, sink, now)
-    }
-
-    /// One partitioned sweep (for scanner pools; see
-    /// [`MemStore::scan_dirty_partition`]).
-    pub fn scan_partition(
-        &self,
-        store: &MemStore,
-        sink: &dyn TriggerSink,
-        now: Micros,
-        part: usize,
-        parts: usize,
-    ) -> ScanStats {
-        let records = store.scan_dirty_partition(part, parts);
         self.dispatch(&records, sink, now)
     }
 
@@ -350,11 +336,12 @@ mod tests {
     use sedna_common::time::ManualClock;
     use sedna_common::{NodeId, Timestamp, Value};
     use sedna_memstore::{StoreConfig, VersionedValue};
+    use std::rc::Rc;
 
-    fn setup() -> (Arc<MemStore>, TriggerEngine, LocalSink<ManualClock>) {
-        let store = Arc::new(MemStore::new(StoreConfig::default()));
+    fn setup() -> (Rc<MemStore>, TriggerEngine, LocalSink<ManualClock>) {
+        let store = Rc::new(MemStore::new(StoreConfig::default()));
         let engine = TriggerEngine::new();
-        let sink = LocalSink::new(Arc::clone(&store), NodeId(9), ManualClock::new());
+        let sink = LocalSink::new(Rc::clone(&store), NodeId(9), ManualClock::new());
         (store, engine, sink)
     }
 

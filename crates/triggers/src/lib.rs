@@ -24,9 +24,10 @@
 //!   changes to a key inside the interval are discarded ("it would be safe
 //!   to discard them as the most fresh data matters most", Sec. IV-B),
 //!   which is what tames the ripple effect of trigger circles.
-//! * **Scanner threads** ([`scanner`]) — the paper's "several threads …
-//!   scan the Dirty and Monitored fields sequentially", as a thread pool
-//!   over shard partitions for the threaded runtime.
+//! * **The sweep** ([`engine::TriggerEngine::scan_once`]) — the paper's
+//!   scan of "the Dirty and Monitored fields sequentially" (Sec. IV-C),
+//!   run by the store's owner (a node drives it from a timer): a store
+//!   has one owner, so there is no scanner thread pool.
 //! * **Cycle analysis** ([`engine::detect_cycles`]) — static detection of
 //!   trigger circles from declared inputs/outputs, so deployments can warn
 //!   when an application builds an A→C→A loop (the Fig. 4 case study).
@@ -34,14 +35,14 @@
 //! # Example
 //!
 //! ```
-//! use std::sync::Arc;
+//! use std::rc::Rc;
 //! use sedna_triggers::{TriggerEngine, JobSpec, MonitorScope, FnAction, LocalSink, Emits};
 //! use sedna_memstore::{MemStore, StoreConfig, VersionedValue};
 //! use sedna_common::{Key, Value, Timestamp, NodeId, time::ManualClock};
 //!
-//! let store = Arc::new(MemStore::new(StoreConfig::default()));
+//! let store = Rc::new(MemStore::new(StoreConfig::default()));
 //! let engine = TriggerEngine::new();
-//! let sink = LocalSink::new(Arc::clone(&store), NodeId(0), ManualClock::new());
+//! let sink = LocalSink::new(Rc::clone(&store), NodeId(0), ManualClock::new());
 //!
 //! // Mirror every change of "watched" into "copy".
 //! engine.register_job(&store, JobSpec::builder("mirror")
@@ -60,11 +61,9 @@
 pub mod engine;
 pub mod job;
 pub mod monitor;
-pub mod scanner;
 pub mod sink;
 
 pub use engine::{detect_cycles, ScanStats, TriggerEngine};
 pub use job::{Action, Filter, FnAction, FnFilter, JobId, JobSpec, PassAllFilter, WriteMode};
 pub use monitor::MonitorScope;
-pub use scanner::ScannerPool;
 pub use sink::{Emits, LocalSink, TriggerSink};

@@ -9,7 +9,7 @@
 use sedna_common::time::{Clock, TimestampOracle};
 use sedna_common::{Key, NodeId, Value};
 use sedna_memstore::MemStore;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::job::WriteMode;
 
@@ -42,21 +42,22 @@ impl Emits {
     }
 }
 
-/// Destination of trigger results.
-pub trait TriggerSink: Send + Sync {
+/// Destination of trigger results. Runs on the thread that owns the store
+/// being swept, so a sink may hold the (non-`Sync`) store itself.
+pub trait TriggerSink {
     /// Applies one emitted write.
     fn apply(&self, key: &Key, value: Value, mode: WriteMode);
 }
 
 /// Sink writing into a local [`MemStore`] with a private timestamp oracle.
 pub struct LocalSink<C: Clock> {
-    store: Arc<MemStore>,
+    store: Rc<MemStore>,
     oracle: TimestampOracle<C>,
 }
 
 impl<C: Clock> LocalSink<C> {
     /// Creates a sink stamping as `origin` from `clock`.
-    pub fn new(store: Arc<MemStore>, origin: NodeId, clock: C) -> Self {
+    pub fn new(store: Rc<MemStore>, origin: NodeId, clock: C) -> Self {
         LocalSink {
             store,
             oracle: TimestampOracle::new(origin, clock),
@@ -97,8 +98,8 @@ mod tests {
 
     #[test]
     fn local_sink_writes_with_fresh_timestamps() {
-        let store = Arc::new(MemStore::new(StoreConfig::default()));
-        let sink = LocalSink::new(Arc::clone(&store), NodeId(3), ManualClock::new());
+        let store = Rc::new(MemStore::new(StoreConfig::default()));
+        let sink = LocalSink::new(Rc::clone(&store), NodeId(3), ManualClock::new());
         sink.apply(&Key::from("k"), Value::from("v1"), WriteMode::Latest);
         sink.apply(&Key::from("k"), Value::from("v2"), WriteMode::Latest);
         // Second write must supersede the first (oracle is monotonic even

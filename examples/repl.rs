@@ -19,7 +19,7 @@
 //! health                     RAG rollup of the SLO engine (green/amber/red)
 //! alerts                     full alert state + the firing/resolve transition log
 //! divergence                 the replica Merkle-root matrix + open mismatch ages
-//! internals <node>           engine internals (probe/locks/slab/epoch) for one node
+//! internals <node>           engine internals (probe/rehash/slab/eviction) for one node
 //! flight <node>              the node thread's flight-recorder ring, oldest first
 //! profile [seconds]          sample the continuous profiler and print the
 //!                            hottest stacks over the interval (default 2s)
@@ -202,14 +202,6 @@ fn main() {
                             s.rehash_rows_moved,
                         );
                         println!(
-                            "writer mutex: {} acquisitions, {} waited ({:.2}% contended) · \
-                             wait p99: {}µs",
-                            s.locks,
-                            s.lock_waits,
-                            s.lock_contention() * 100.0,
-                            s.lock_wait.percentile(0.99),
-                        );
-                        println!(
                             "slab: {} pages / {} cells, {} free ({:.1}% occupied) · eviction: \
                              {} rounds, {:.1} sampled/round, {} exact",
                             s.slab_pages,
@@ -219,18 +211,6 @@ fn main() {
                             s.evict_rounds,
                             s.evict_sample_mean(),
                             s.evict_exact_rounds,
-                        );
-                        let e = &s.epoch;
-                        println!(
-                            "epoch (process-wide): epoch {} · {} pins · {} retired, {} freed, \
-                             {} pending (bag peak {}) · retire→free p99: {}µs",
-                            e.epoch,
-                            e.pins,
-                            e.retires,
-                            e.frees,
-                            e.pending,
-                            e.bag_peak,
-                            e.retire_free_latency.percentile(0.99),
                         );
                     }
                     None => println!("(no internals published yet — wait a stats tick)"),

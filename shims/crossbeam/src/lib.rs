@@ -1,15 +1,9 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Two subsets are provided:
-//!
-//! * `channel` — used by the threaded transport, implemented over
-//!   `std::sync::mpsc`. Semantics relied upon by `sedna-net::threaded` —
-//!   unbounded FIFO per sender, `recv_timeout`, `try_iter`, send-to-closed
-//!   returns `Err` — all hold for std channels.
-//! * `epoch` — epoch-based memory reclamation (pin/defer), used by
-//!   `sedna-memstore`'s lock-free read path.
-
-pub mod epoch;
+//! One subset is provided: `channel`, used by the threaded transport and
+//! implemented over `std::sync::mpsc`. Semantics relied upon by
+//! `sedna-net::threaded` — unbounded FIFO per sender, `recv_timeout`,
+//! `try_iter`, send-to-closed returns `Err` — all hold for std channels.
 
 pub mod channel {
     pub use std::sync::mpsc::{Receiver, RecvTimeoutError, SendError, Sender, TryRecvError};

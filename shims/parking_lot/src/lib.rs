@@ -12,7 +12,7 @@
 //! the *holder* was in, not the waiter — that is the code to blame for the
 //! wait. Because this shim sits below the observability crate in the
 //! dependency graph, the wiring is a pair of plain function pointers
-//! ([`set_profile_hooks`], mirroring the epoch shim's event hook):
+//! ([`set_profile_hooks`]):
 //!
 //! * the **scope probe** (`fn() -> u32`) reads the acquiring thread's
 //!   current profiler scope; every successful acquisition stamps it into
