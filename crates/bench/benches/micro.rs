@@ -119,13 +119,12 @@ fn bench_quorum(c: &mut Criterion) {
 
 fn bench_triggers(c: &mut Criterion) {
     use sedna_common::time::ManualClock;
-    use sedna_triggers::LocalSink;
-    use std::rc::Rc;
+    use sedna_triggers::{Emits, LocalSink};
 
     let mut g = c.benchmark_group("triggers");
-    let store = Rc::new(MemStore::new(StoreConfig::default()));
-    let engine = TriggerEngine::new();
-    let sink = LocalSink::new(Rc::clone(&store), NodeId(9), ManualClock::new());
+    let store = MemStore::new(StoreConfig::default());
+    let mut engine = TriggerEngine::new();
+    let sink = LocalSink::new(NodeId(9), ManualClock::new());
     engine.register_job(
         &store,
         JobSpec::builder("bench")
@@ -134,7 +133,7 @@ fn bench_triggers(c: &mut Criterion) {
                 table: "t".into(),
             })
             .action(FnAction(
-                |_: &Key, _: &[sedna_memstore::VersionedValue], _: &mut sedna_triggers::Emits| {},
+                |_: &Key, _: &[sedna_memstore::VersionedValue], _: &mut Emits| {},
             ))
             .trigger_interval(0)
             .build(),
@@ -155,7 +154,10 @@ fn bench_triggers(c: &mut Criterion) {
             for k in &keys {
                 store.write_latest(k, ts(tick), Value::from("v"));
             }
-            engine.scan_once(&store, &sink, tick)
+            let mut emits = Emits::default();
+            let stats = engine.scan_once(&store, &mut emits, tick);
+            sink.apply(&store, &mut emits);
+            stats
         })
     });
     g.finish();

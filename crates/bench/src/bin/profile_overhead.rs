@@ -1,18 +1,17 @@
 //! Continuous-profiler overhead ablation on a live threaded cluster.
 //!
-//! Boots a real [`ThreadCluster`] (which installs the lock-shim hooks and
-//! starts the ~997 Hz sampler thread) and runs the identical key-value
+//! Boots a real [`ThreadCluster`] (which starts the ~997 Hz sampler
+//! thread) and runs the identical key-value
 //! workload with the profiler enabled and disabled, back to back. Each
 //! trial contributes one *paired* on/off wall-clock ratio; the reported
 //! overhead is the median ratio across trials, the same methodology the
 //! observability-plane ablation in `mixed_workload` uses (pairing cancels
 //! slow background-load drift on a shared host).
 //!
-//! "Enabled" here is the whole tentpole: `prof_scope!` guards push/pop,
-//! the sampler snapshots every registered thread's scope stack, contended
-//! mutex acquisitions feed the holder-attribution table, and — because
-//! this binary installs [`ProfAlloc`] as its global allocator — every
-//! allocation is charged to the allocating thread's current scope.
+//! "Enabled" here is the whole profiler: `prof_scope!` guards push/pop,
+//! the sampler snapshots every registered thread's scope stack, and —
+//! because this binary installs [`ProfAlloc`] as its global allocator —
+//! every allocation is charged to the allocating thread's current scope.
 //! "Disabled" leaves the sampler thread running (it is never torn down in
 //! production either) but makes guards inert and accumulation a no-op.
 //!

@@ -140,7 +140,7 @@ fn main() {
     // ---- Persistency -------------------------------------------------------
     println!("[Persistency] periodic flush or write-ahead log, per user choice");
     let dir = std::env::temp_dir().join(format!("sedna-table1-{}", std::process::id()));
-    let engine = sedna_persist::PersistEngine::new(
+    let mut engine = sedna_persist::PersistEngine::new(
         &dir,
         sedna_persist::PersistMode::WriteAhead {
             snapshot_interval_micros: 1_000_000,

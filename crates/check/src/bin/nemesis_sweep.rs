@@ -149,10 +149,10 @@ fn write_artifact(
     // all ops vs. the slow tail, merged across the workload clients.
     writeln!(f, "\ntail critical-path attribution:")?;
     writeln!(f, "  {}", report.tail_attribution.to_json())?;
-    let (q, l, a, n, o) = report.tail_attribution.tail.shares();
+    let (q, a, n, o) = report.tail_attribution.tail.shares();
     writeln!(
         f,
-        "  tail shares: queue={q:.2} lock={l:.2} apply={a:.2} net={n:.2} other={o:.2}"
+        "  tail shares: queue={q:.2} apply={a:.2} net={n:.2} other={o:.2}"
     )?;
     let schedule = if do_shrink {
         eprintln!(

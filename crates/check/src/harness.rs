@@ -227,7 +227,7 @@ pub struct RunReport {
     /// when it converged).
     pub divergence: Vec<(NodeId, DivergenceSnapshot)>,
     /// Tail critical-path attribution merged across the workload clients:
-    /// per-segment (queue/lock/apply/net/other) sums for every op and for
+    /// per-segment (queue/apply/net/other) sums for every op and for
     /// the slow tail — "where did this seed's p99 go".
     pub tail_attribution: TailSnapshot,
 }

@@ -23,8 +23,8 @@
 //! * `/flight`     — the process-wide flight recorder: per-thread event
 //!   rings plus the anomaly dumps that froze them, as JSON.
 //! * `/profile`    — the continuous profiler: hottest scope stacks
-//!   (cumulative and last-10s windows), lock-contention attribution,
-//!   per-scope allocation counts, and the merged tail critical-path
+//!   (cumulative and last-10s windows), per-scope allocation counts, and
+//!   the merged tail critical-path
 //!   attribution, as JSON. `?format=collapsed` serves collapsed-stack
 //!   flamegraph text instead (`?view=window` restricts it to the
 //!   rolling window) — pipe straight into `flamegraph.pl`.
@@ -52,10 +52,9 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use sedna_common::time::Micros;
 use sedna_common::{NodeId, VNodeId};
 use sedna_memstore::EngineSnapshot;
@@ -124,6 +123,10 @@ pub struct NodeTelemetry {
 }
 
 impl NodeTelemetry {
+    fn lock(&self) -> MutexGuard<'_, TelemetryInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Replaces the published view (called from the node's stats tick).
     pub fn publish(
         &self,
@@ -145,7 +148,7 @@ impl NodeTelemetry {
                 }
             })
             .collect();
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         inner.updated_micros = now;
         inner.vnodes = vnodes;
         inner.hot_keys = hot_keys;
@@ -153,35 +156,35 @@ impl NodeTelemetry {
 
     /// Last publish time and the per-vnode rows.
     pub fn vnodes(&self) -> (Micros, Vec<VNodeRow>) {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         (inner.updated_micros, inner.vnodes.clone())
     }
 
     /// The node's current hot-key estimates, hottest first.
     pub fn hot_keys(&self) -> Vec<HotKeyRow> {
-        self.inner.lock().hot_keys.clone()
+        self.lock().hot_keys.clone()
     }
 
     /// Replaces the published engine-internals snapshot (called from the
     /// node's stats tick alongside [`NodeTelemetry::publish`]).
     pub fn publish_engine(&self, snap: EngineSnapshot) {
-        self.inner.lock().engine = Some(snap);
+        self.lock().engine = Some(snap);
     }
 
     /// The last published engine-internals snapshot, if any.
     pub fn engine(&self) -> Option<EngineSnapshot> {
-        self.inner.lock().engine.clone()
+        self.lock().engine.clone()
     }
 
     /// Replaces the published divergence view (replica root matrix +
     /// mismatch episodes; called from the node's stats tick).
     pub fn publish_divergence(&self, snap: DivergenceSnapshot) {
-        self.inner.lock().divergence = Some(snap);
+        self.lock().divergence = Some(snap);
     }
 
     /// The last published divergence view, if any.
     pub fn divergence(&self) -> Option<DivergenceSnapshot> {
-        self.inner.lock().divergence.clone()
+        self.lock().divergence.clone()
     }
 }
 
@@ -557,7 +560,7 @@ impl AdminActor {
         out
     }
 
-    /// `/profile`: the profiler's JSON view (scope stacks, lock and alloc
+    /// `/profile`: the profiler's JSON view (scope stacks and alloc
     /// attribution) extended with the cluster-merged tail critical-path
     /// decomposition. The profiler renders a complete object; the
     /// `critical_path` member is spliced in before its closing brace so

@@ -666,12 +666,11 @@ pub struct ClientObs {
     read_latency: Hist,
     ping_rtt: Hist,
     // Tail critical-path decomposition (tentpole): every finished span
-    // tree is split into queue/lock/apply/net segments; the per-segment
+    // tree is split into queue/apply/net/other segments; the per-segment
     // histograms carry TraceId exemplars on their tail buckets, and the
     // shared [`TailAttribution`] accumulates all-vs-tail segment shares
     // for the admin surface and the nemesis reports.
     critpath_queue: Hist,
-    critpath_lock: Hist,
     critpath_apply: Hist,
     critpath_net: Hist,
     tail_attr: Arc<TailAttribution>,
@@ -725,12 +724,8 @@ impl ClientObs {
             "Critical-path time between issue and the first replica send (client queueing).",
         );
         registry.describe(
-            "sedna_critpath_lock_micros",
-            "Critical-path time the quorum-deciding replica reported as lock wait (0 since stores are single-owner).",
-        );
-        registry.describe(
             "sedna_critpath_apply_micros",
-            "Critical-path store-apply time on the quorum-deciding replica (lock wait excluded).",
+            "Critical-path store-apply time on the quorum-deciding replica.",
         );
         registry.describe(
             "sedna_critpath_net_micros",
@@ -755,7 +750,6 @@ impl ClientObs {
             read_latency: registry.hist("sedna_client_read_latency_micros"),
             ping_rtt: registry.hist("sedna_coord_ping_rtt_micros"),
             critpath_queue: registry.hist("sedna_critpath_queue_micros"),
-            critpath_lock: registry.hist("sedna_critpath_lock_micros"),
             critpath_apply: registry.hist("sedna_critpath_apply_micros"),
             critpath_net: registry.hist("sedna_critpath_net_micros"),
             tail_attr: Arc::new(TailAttribution::default()),
@@ -949,7 +943,6 @@ impl ClientObs {
         }
         let seg = critpath::decompose(spans, total_micros);
         self.critpath_queue.record_traced(seg.queue_micros, trace.0);
-        self.critpath_lock.record_traced(seg.lock_micros, trace.0);
         self.critpath_apply.record_traced(seg.apply_micros, trace.0);
         self.critpath_net.record_traced(seg.net_micros, trace.0);
         let is_tail = total_micros >= self.slow_threshold;
@@ -1642,13 +1635,11 @@ impl ClientCore {
                 req,
                 ack,
                 apply_nanos,
-                lock_nanos,
+                ..
             } => {
                 let trace = self.writer.trace_of(req);
                 if let (Some(trace), Some(node)) = (trace, self.cfg.actor_node(from)) {
-                    self.obs
-                        .tracker
-                        .acked(trace, node, now, apply_nanos, lock_nanos);
+                    self.obs.tracker.acked(trace, node, now, apply_nanos);
                 }
                 let (done, refused) = self.writer.on_ack(&self.cfg, from, req, ack);
                 if refused {
@@ -1672,7 +1663,7 @@ impl ClientCore {
                 req,
                 reply,
                 apply_nanos,
-                lock_nanos,
+                ..
             } => {
                 let refused = matches!(reply, ReplicaReadReply::Refused);
                 if refused {
@@ -1681,9 +1672,7 @@ impl ClientCore {
                 if let (Some(trace), Some(node)) =
                     (self.reader.trace_of(req), self.cfg.actor_node(from))
                 {
-                    self.obs
-                        .tracker
-                        .acked(trace, node, now, apply_nanos, lock_nanos);
+                    self.obs.tracker.acked(trace, node, now, apply_nanos);
                 }
                 if let Some(fin) = self.reader.on_reply(&self.cfg, from, req, reply) {
                     self.obs.read_done(&fin, &self.cfg, now);

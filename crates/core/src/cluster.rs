@@ -34,19 +34,13 @@ fn ensemble_config(cfg: &ClusterConfig) -> EnsembleConfig {
     EnsembleConfig::lan(cfg.coord_actors())
 }
 
-/// Wires the continuous profiler into the process: installs the
-/// parking_lot shim's contention hooks (so contended mutex waits are
-/// attributed to the holder's scope) and starts the ~997 Hz scope-stack
-/// sampler thread. Idempotent and process-global; [`ThreadCluster`] calls
-/// it on start, standalone binaries (benches, the repl) may too. The
-/// simulator harness deliberately does not — a sampler thread would not
-/// break determinism (it only reads), but there is nothing to sample in a
-/// single-threaded run.
+/// Wires the continuous profiler into the process: starts the ~997 Hz
+/// scope-stack sampler thread. Idempotent and process-global;
+/// [`ThreadCluster`] calls it on start, standalone binaries (benches, the
+/// repl) may too. The simulator harness deliberately does not — a sampler
+/// thread would not break determinism (it only reads), but there is
+/// nothing to sample in a single-threaded run.
 pub fn install_profiling() {
-    parking_lot::set_profile_hooks(
-        sedna_obs::prof::scope_probe,
-        sedna_obs::prof::on_contended_lock,
-    );
     sedna_obs::prof::start_sampler();
 }
 
@@ -484,7 +478,7 @@ impl SimCluster {
     /// keep appending cleanly after it. No-op tear when the node has no
     /// persistence.
     pub fn crash_node_torn(&mut self, node: NodeId) {
-        if let Some(p) = self.node(node).persist() {
+        if let Some(p) = self.node_mut(node).persist_mut() {
             // The tear itself failing (disk gone) still leaves the engine
             // crashed, which is the semantics we want at a crash instant.
             let _ = p.inject_torn_append();

@@ -13,9 +13,8 @@
 //! [`TraceId`], so a checker finding can be joined against span trees and
 //! journal events for the same op.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use sedna_common::time::Micros;
 use sedna_common::{CausalContext, Key, NodeId, Timestamp, TraceId};
 
@@ -109,14 +108,18 @@ impl ClientHistory {
         Arc::new(Self::default())
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<HistoryEvent>> {
+        self.events.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Appends one event.
     pub fn push(&self, event: HistoryEvent) {
-        self.events.lock().push(event);
+        self.lock().push(event);
     }
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.events.lock().len()
+        self.lock().len()
     }
 
     /// True when nothing was recorded.
@@ -126,6 +129,6 @@ impl ClientHistory {
 
     /// Snapshot of all events in record order.
     pub fn events(&self) -> Vec<HistoryEvent> {
-        self.events.lock().clone()
+        self.lock().clone()
     }
 }

@@ -85,8 +85,8 @@ pub enum ReplicaOp {
         /// span inside the op's trace.
         apply_nanos: u64,
         /// Always 0: a store has one owner and no lock to wait on. The
-        /// field feeds the `lock` segment of the client's critical-path
-        /// decomposition and goes when that does (ROADMAP Open item 5).
+        /// client ignores it; it stays on the wire only because the
+        /// frozen benchmark's trace reader destructures it.
         lock_nanos: u64,
     },
     /// Replica read.

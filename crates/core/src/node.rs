@@ -38,7 +38,7 @@ use sedna_obs::AlertEngine;
 use sedna_persist::PersistEngine;
 use sedna_replication::{row_hash, MerkleTree};
 use sedna_ring::{HotKeyRow, VNodeMap, VNodeStats};
-use sedna_triggers::{JobSpec, TriggerEngine, TriggerSink, WriteMode};
+use sedna_triggers::{Emits, JobSpec, TriggerEngine, WriteMode};
 
 use crate::client::QuorumWriter;
 use crate::config::{paths, ClusterConfig};
@@ -52,19 +52,6 @@ const T_SCAN: TimerToken = TimerToken(0xDA_02);
 const T_PERSIST: TimerToken = TimerToken(0xDA_03);
 const T_STATS: TimerToken = TimerToken(0xDA_04);
 const T_SYNC: TimerToken = TimerToken(0xDA_05);
-
-/// Collects trigger emits during a scan; the node then routes them through
-/// quorum writes.
-#[derive(Default)]
-struct BufferSink {
-    writes: std::cell::RefCell<Vec<(Key, sedna_common::Value, WriteMode)>>,
-}
-
-impl TriggerSink for BufferSink {
-    fn apply(&self, key: &Key, value: sedna_common::Value, mode: WriteMode) {
-        self.writes.borrow_mut().push((key.clone(), value, mode));
-    }
-}
 
 /// Per-node operation counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -241,8 +228,8 @@ impl SednaNode {
     }
 
     /// The persistence engine, when one is attached (fault injection).
-    pub fn persist(&self) -> Option<&PersistEngine> {
-        self.persist.as_ref()
+    pub fn persist_mut(&mut self) -> Option<&mut PersistEngine> {
+        self.persist.as_mut()
     }
 
     /// The cached vnode map, if loaded.
@@ -630,20 +617,13 @@ impl SednaNode {
                 // must not count toward W. The in-memory copy stays (like
                 // a write whose ack was lost) and can still propagate via
                 // anti-entropy.
-                match &self.persist {
-                    Some(p)
-                        if p.note_write(
-                            &item.key,
-                            item.ts,
-                            &item.value,
-                            &item.ctx,
-                            item.latest,
-                        )
-                        .is_err() =>
-                    {
-                        ReplicaWriteAck::Refused
-                    }
-                    _ => ReplicaWriteAck::Ok,
+                let logged = self.persist.as_mut().map_or(Ok(()), |p| {
+                    p.note_write(&item.key, item.ts, &item.value, &item.ctx, item.latest)
+                });
+                if logged.is_ok() {
+                    ReplicaWriteAck::Ok
+                } else {
+                    ReplicaWriteAck::Refused
                 }
             }
             WriteOutcome::Outdated => {
@@ -1284,46 +1264,45 @@ impl SednaNode {
             .into_iter()
             .filter(|r| self.is_primary(&r.key))
             .collect();
-        if !records.is_empty() {
-            let sink = BufferSink::default();
-            self.engine.dispatch(&records, &sink, now);
-            let writes = sink.writes.into_inner();
-            for (key, value, mode) in writes {
-                if let Some(ring) = &self.ring {
-                    let vnode = self.cfg.partitioner.locate(&key);
-                    let replicas = ring.replicas(vnode).to_vec();
-                    if replicas.is_empty() {
-                        continue;
-                    }
-                    self.next_emit_op += 1;
-                    let ts = self.next_timestamp(now);
-                    let kind = match mode {
-                        WriteMode::Latest => WriteKind::Latest,
-                        WriteMode::All => WriteKind::All,
-                    };
-                    let deadline = now + self.cfg.request_deadline_micros;
-                    self.stats.trigger_emits += 1;
-                    let op = self.next_emit_op;
-                    let w = self.cfg.quorum.w;
-                    // Emit-writes trace under the node's own origin (node
-                    // ids are disjoint from the 1000+ client origins).
-                    let trace = TraceId::compose(self.node_id.0 as u64, op);
-                    // Trigger emits carry no session history: empty context.
-                    for (to, rop) in self.emit_writer.begin(
-                        &self.cfg,
-                        op,
-                        &replicas,
-                        w,
-                        &key,
-                        ts,
-                        &value,
-                        &CausalContext::EMPTY,
-                        kind,
-                        deadline,
-                        trace,
-                    ) {
-                        ctx.send(to, SednaMsg::Replica(rop));
-                    }
+        // Dispatch even an empty sweep: it is where flow control forgets
+        // firings older than each job's interval.
+        let mut emits = Emits::default();
+        self.engine.dispatch(&records, &mut emits, now);
+        for (key, value, mode) in emits.writes {
+            if let Some(ring) = &self.ring {
+                let vnode = self.cfg.partitioner.locate(&key);
+                let replicas = ring.replicas(vnode).to_vec();
+                if replicas.is_empty() {
+                    continue;
+                }
+                self.next_emit_op += 1;
+                let ts = self.next_timestamp(now);
+                let kind = match mode {
+                    WriteMode::Latest => WriteKind::Latest,
+                    WriteMode::All => WriteKind::All,
+                };
+                let deadline = now + self.cfg.request_deadline_micros;
+                self.stats.trigger_emits += 1;
+                let op = self.next_emit_op;
+                let w = self.cfg.quorum.w;
+                // Emit-writes trace under the node's own origin (node
+                // ids are disjoint from the 1000+ client origins).
+                let trace = TraceId::compose(self.node_id.0 as u64, op);
+                // Trigger emits carry no session history: empty context.
+                for (to, rop) in self.emit_writer.begin(
+                    &self.cfg,
+                    op,
+                    &replicas,
+                    w,
+                    &key,
+                    ts,
+                    &value,
+                    &CausalContext::EMPTY,
+                    kind,
+                    deadline,
+                    trace,
+                ) {
+                    ctx.send(to, SednaMsg::Replica(rop));
                 }
             }
         }
@@ -1365,7 +1344,7 @@ impl Actor for SednaNode {
             T_TICK => self.tick(ctx),
             T_SCAN => self.scan(ctx),
             T_PERSIST => {
-                if let Some(p) = &self.persist {
+                if let Some(p) = &mut self.persist {
                     let _ = p.tick(ctx.now(), &self.store);
                 }
                 ctx.set_timer(T_PERSIST, self.cfg.scan_interval_micros * 8);

@@ -292,12 +292,20 @@ fn admin_surface_serves_all_endpoints() {
     );
     assert!(profile.contains("\"cumulative\":["), "body: {profile}");
     assert!(profile.contains("\"window\":["), "body: {profile}");
-    assert!(profile.contains("\"lock_contention\":{"), "body: {profile}");
     assert!(profile.contains("\"allocs\":["), "body: {profile}");
-    // The tail critical-path decomposition rides along in the same document.
-    assert!(profile.contains("\"critical_path\":{"), "body: {profile}");
-    assert!(profile.contains("\"tail\":{"), "body: {profile}");
-    assert!(profile.contains("\"queue_micros\":"), "body: {profile}");
+    // No lock attribution: nothing deployed shares a lock worth blaming.
+    assert!(!profile.contains("contention"), "body: {profile}");
+    // The tail critical-path decomposition rides along in the same
+    // document, as four segments with no lock wait among them.
+    let critical_path = &profile[profile
+        .find("\"critical_path\":{")
+        .unwrap_or_else(|| panic!("body: {profile}"))..];
+    assert!(critical_path.contains("\"tail\":{"), "body: {profile}");
+    assert!(
+        critical_path.contains("\"queue_micros\":"),
+        "body: {profile}"
+    );
+    assert!(!critical_path.contains("lock"), "body: {profile}");
 
     // The windowed collapsed view is also well-formed (may be empty if the
     // last 10s were idle, which they were not here — but don't race on it).

@@ -34,14 +34,22 @@ fn flight_dump_finds_the_ring_of_a_nodes_worker() {
             ClientResult::Ok
         );
     }
-    // Every write pins and retires in each replica's store, on the thread
-    // that runs that node.
+    // Each replica's store records a rehash as its table grows, on the
+    // thread that runs that node. A write returns after W = 2 acks, so the
+    // third replica may still be applying: give it a moment.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     for n in 0..cluster.config.data_nodes as u32 {
-        let dump = cluster.flight_dump(NodeId(n));
-        assert!(
-            dump.iter().any(|ring| !ring.events.is_empty()),
-            "no flight events for node {n}: {dump:?}"
-        );
+        loop {
+            let dump = cluster.flight_dump(NodeId(n));
+            if dump.iter().any(|ring| !ring.events.is_empty()) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no flight events for node {n}: {dump:?}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
     }
     cluster.shutdown();
 }

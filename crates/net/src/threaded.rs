@@ -20,11 +20,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sedna_common::rng::Xoshiro256;
 use sedna_common::time::Micros;
 
@@ -121,7 +121,7 @@ impl<M: MessageSize + Send + 'static> ThreadNet<M> {
             });
         }
 
-        let (ext_tx, ext_rx) = unbounded::<(ActorId, M)>();
+        let (ext_tx, ext_rx) = std::sync::mpsc::channel::<(ActorId, M)>();
         let router = Arc::new(Router {
             mailboxes,
             gates: workers.iter().map(|_| Gate::default()).collect(),

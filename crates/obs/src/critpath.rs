@@ -6,11 +6,8 @@
 //!
 //! * **queue** — issue to the first replica frame leaving the client
 //!   (client-side staging and batch coalescing delay);
-//! * **lock** — lock wait the critical replica (the replica whose ack
-//!   completed the quorum) reports in its ack; a single-owner store
-//!   reports 0, so the segment is empty until something else fills it;
-//! * **apply** — the critical replica's store apply, *excluding* its lock
-//!   wait;
+//! * **apply** — the store apply the critical replica (the replica whose
+//!   ack completed the quorum) reports in its ack;
 //! * **net** — the critical replica's RPC round trip minus its apply (wire
 //!   time plus the replica's actor-queue delay);
 //! * **other** — everything else: quorum assembly bookkeeping, repair
@@ -20,7 +17,7 @@
 //! quantiles carry trace exemplars on `/metrics`), a packed flight-recorder
 //! event on slow-op promotion, and the [`TailAttribution`] accumulator the
 //! nemesis `RunReport` snapshots — so a sweep can answer "crash-restart
-//! p99 regressions are 80% lock-wait".
+//! p99 regressions are 80% net".
 
 use std::sync::Mutex;
 
@@ -33,9 +30,7 @@ pub struct Segments {
     pub total_micros: u64,
     /// Issue → first replica frame sent.
     pub queue_micros: u64,
-    /// Shard-lock wait on the critical replica.
-    pub lock_micros: u64,
-    /// Store apply on the critical replica, excluding lock wait.
+    /// Store apply on the critical replica.
     pub apply_micros: u64,
     /// Critical replica RPC minus its apply: wire + remote queueing.
     pub net_micros: u64,
@@ -44,27 +39,23 @@ pub struct Segments {
 }
 
 impl Segments {
-    /// Packs the four attributed segments into one `u64` for a compact
-    /// flight-recorder event: `queue << 48 | lock << 32 | apply << 16 |
-    /// net`, each saturated at 16 bits of µs.
+    /// Packs the three attributed segments into one `u64` for a compact
+    /// flight-recorder event: `queue << 32 | apply << 16 | net`, each
+    /// saturated at 16 bits of µs.
     pub fn pack(&self) -> u64 {
         fn sat(v: u64) -> u64 {
             v.min(u16::MAX as u64)
         }
-        sat(self.queue_micros) << 48
-            | sat(self.lock_micros) << 32
-            | sat(self.apply_micros) << 16
-            | sat(self.net_micros)
+        sat(self.queue_micros) << 32 | sat(self.apply_micros) << 16 | sat(self.net_micros)
     }
 
     /// Renders the segments as a JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"total_micros\":{},\"queue_micros\":{},\"lock_micros\":{},\
+            "{{\"total_micros\":{},\"queue_micros\":{},\
              \"apply_micros\":{},\"net_micros\":{},\"other_micros\":{}}}",
             self.total_micros,
             self.queue_micros,
-            self.lock_micros,
             self.apply_micros,
             self.net_micros,
             self.other_micros
@@ -108,48 +99,43 @@ pub fn decompose(spans: &[Span], total_micros: u64) -> Segments {
                 .filter(|s| matches!(s.kind, SpanKind::ReplicaRpc { .. }))
                 .max_by_key(|s| s.end)
         });
-    let (mut lock, mut apply, mut net) = (0, 0, 0);
+    let (mut apply, mut net) = (0, 0);
     if let Some(rpc) = critical {
         let SpanKind::ReplicaRpc { replica } = rpc.kind else {
             unreachable!("filtered to rpc spans");
         };
         let rpc_micros = rpc.end.saturating_sub(rpc.start);
         // The paired apply span for the same replica, recorded at ack.
-        let (apply_nanos, lock_nanos) = spans
+        let apply_nanos = spans
             .iter()
             .filter_map(|s| match s.kind {
-                SpanKind::NodeApply {
-                    replica: r,
-                    nanos,
-                    lock_nanos,
-                } if r == replica && s.end == rpc.end => Some((nanos, lock_nanos)),
+                SpanKind::NodeApply { replica: r, nanos } if r == replica && s.end == rpc.end => {
+                    Some(nanos)
+                }
                 _ => None,
             })
             .next_back()
-            .unwrap_or((0, 0));
-        let apply_total = (apply_nanos / 1_000).min(rpc_micros);
-        lock = (lock_nanos / 1_000).min(apply_total);
-        apply = apply_total - lock;
-        net = rpc_micros - apply_total;
+            .unwrap_or(0);
+        apply = (apply_nanos / 1_000).min(rpc_micros);
+        net = rpc_micros - apply;
     }
-    let attributed = queue + lock + apply + net;
+    let attributed = queue + apply + net;
     // Clamp against clock artifacts so the segments never overshoot the
     // measured total; `other` absorbs what is left.
     let scale_down = attributed > total_micros;
-    let (queue, lock, apply, net) = if scale_down {
+    let (queue, apply, net) = if scale_down {
         // Degenerate (skewed clocks): keep proportions, cap at total.
         let cap = |v: u64| (v as u128 * total_micros as u128 / attributed.max(1) as u128) as u64;
-        (cap(queue), cap(lock), cap(apply), cap(net))
+        (cap(queue), cap(apply), cap(net))
     } else {
-        (queue, lock, apply, net)
+        (queue, apply, net)
     };
     Segments {
         total_micros,
         queue_micros: queue,
-        lock_micros: lock,
         apply_micros: apply,
         net_micros: net,
-        other_micros: total_micros.saturating_sub(queue + lock + apply + net),
+        other_micros: total_micros.saturating_sub(queue + apply + net),
     }
 }
 
@@ -162,8 +148,6 @@ pub struct SegmentSums {
     pub total_micros: u64,
     /// Σ queue.
     pub queue_micros: u64,
-    /// Σ lock.
-    pub lock_micros: u64,
     /// Σ apply.
     pub apply_micros: u64,
     /// Σ net.
@@ -177,7 +161,6 @@ impl SegmentSums {
         self.ops += 1;
         self.total_micros += s.total_micros;
         self.queue_micros += s.queue_micros;
-        self.lock_micros += s.lock_micros;
         self.apply_micros += s.apply_micros;
         self.net_micros += s.net_micros;
         self.other_micros += s.other_micros;
@@ -187,22 +170,20 @@ impl SegmentSums {
         self.ops += o.ops;
         self.total_micros += o.total_micros;
         self.queue_micros += o.queue_micros;
-        self.lock_micros += o.lock_micros;
         self.apply_micros += o.apply_micros;
         self.net_micros += o.net_micros;
         self.other_micros += o.other_micros;
     }
 
     /// Fraction of Σ total each segment accounts for, as
-    /// `(queue, lock, apply, net, other)` in `[0, 1]` (zeros when empty).
-    pub fn shares(&self) -> (f64, f64, f64, f64, f64) {
+    /// `(queue, apply, net, other)` in `[0, 1]` (zeros when empty).
+    pub fn shares(&self) -> (f64, f64, f64, f64) {
         if self.total_micros == 0 {
-            return (0.0, 0.0, 0.0, 0.0, 0.0);
+            return (0.0, 0.0, 0.0, 0.0);
         }
         let t = self.total_micros as f64;
         (
             self.queue_micros as f64 / t,
-            self.lock_micros as f64 / t,
             self.apply_micros as f64 / t,
             self.net_micros as f64 / t,
             self.other_micros as f64 / t,
@@ -211,12 +192,11 @@ impl SegmentSums {
 
     fn to_json(self) -> String {
         format!(
-            "{{\"ops\":{},\"total_micros\":{},\"queue_micros\":{},\"lock_micros\":{},\
+            "{{\"ops\":{},\"total_micros\":{},\"queue_micros\":{},\
              \"apply_micros\":{},\"net_micros\":{},\"other_micros\":{}}}",
             self.ops,
             self.total_micros,
             self.queue_micros,
-            self.lock_micros,
             self.apply_micros,
             self.net_micros,
             self.other_micros
@@ -284,32 +264,27 @@ mod tests {
         Span { kind, start, end }
     }
 
+    fn apply(replica: u32, nanos: u64, at: u64) -> Span {
+        span(
+            SpanKind::NodeApply {
+                replica: NodeId(replica),
+                nanos,
+            },
+            at,
+            at,
+        )
+    }
+
     fn quorum_trace() -> Vec<Span> {
-        // Issue at 100; sends at 110; replica 1 acks at 150 (apply 20µs of
-        // which 5µs lock wait), replica 0 acks at 180 (apply 30µs, 12µs
-        // lock); quorum assembled at 180; finish at 200 → total 100.
+        // Issue at 100; sends at 110; replica 1 acks at 150 (apply 20µs),
+        // replica 0 acks at 180 (apply 30µs); quorum assembled at 180;
+        // finish at 200 → total 100.
         vec![
             span(SpanKind::Issue, 100, 100),
             span(SpanKind::ReplicaRpc { replica: NodeId(1) }, 110, 150),
-            span(
-                SpanKind::NodeApply {
-                    replica: NodeId(1),
-                    nanos: 20_000,
-                    lock_nanos: 5_000,
-                },
-                150,
-                150,
-            ),
+            apply(1, 20_000, 150),
             span(SpanKind::ReplicaRpc { replica: NodeId(0) }, 110, 180),
-            span(
-                SpanKind::NodeApply {
-                    replica: NodeId(0),
-                    nanos: 30_000,
-                    lock_nanos: 12_000,
-                },
-                180,
-                180,
-            ),
+            apply(0, 30_000, 180),
             span(SpanKind::QuorumAssembly, 180, 180),
         ]
     }
@@ -318,19 +293,14 @@ mod tests {
     fn decomposes_along_the_critical_replica() {
         let seg = decompose(&quorum_trace(), 100);
         // Critical leg is replica 0 (last ack before assembly): 70µs RPC,
-        // 30µs apply of which 12µs lock → net 40, apply 18, lock 12.
+        // 30µs of it apply → net 40.
         assert_eq!(seg.total_micros, 100);
         assert_eq!(seg.queue_micros, 10);
-        assert_eq!(seg.lock_micros, 12);
-        assert_eq!(seg.apply_micros, 18);
+        assert_eq!(seg.apply_micros, 30);
         assert_eq!(seg.net_micros, 40);
-        // Remainder: 100 - 10 - 12 - 18 - 40 = 20 (assembly → finish).
+        // Remainder: 100 - 10 - 30 - 40 = 20 (assembly → finish).
         assert_eq!(seg.other_micros, 20);
-        let sum = seg.queue_micros
-            + seg.lock_micros
-            + seg.apply_micros
-            + seg.net_micros
-            + seg.other_micros;
+        let sum = seg.queue_micros + seg.apply_micros + seg.net_micros + seg.other_micros;
         assert_eq!(sum, seg.total_micros);
     }
 
@@ -347,15 +317,7 @@ mod tests {
         let spans = vec![
             span(SpanKind::Issue, 0, 0),
             span(SpanKind::ReplicaRpc { replica: NodeId(2) }, 5, 65),
-            span(
-                SpanKind::NodeApply {
-                    replica: NodeId(2),
-                    nanos: 10_000,
-                    lock_nanos: 0,
-                },
-                65,
-                65,
-            ),
+            apply(2, 10_000, 65),
         ];
         let seg = decompose(&spans, 1_000);
         assert_eq!(seg.queue_micros, 5);
@@ -371,23 +333,11 @@ mod tests {
         let spans = vec![
             span(SpanKind::Issue, 0, 0),
             span(SpanKind::ReplicaRpc { replica: NodeId(0) }, 10, 90),
-            span(
-                SpanKind::NodeApply {
-                    replica: NodeId(0),
-                    nanos: 40_000,
-                    lock_nanos: 10_000,
-                },
-                90,
-                90,
-            ),
+            apply(0, 40_000, 90),
             span(SpanKind::QuorumAssembly, 90, 90),
         ];
         let seg = decompose(&spans, 50);
-        let sum = seg.queue_micros
-            + seg.lock_micros
-            + seg.apply_micros
-            + seg.net_micros
-            + seg.other_micros;
+        let sum = seg.queue_micros + seg.apply_micros + seg.net_micros + seg.other_micros;
         assert!(
             sum <= seg.total_micros + 4,
             "sum={sum} vs {}",
@@ -401,15 +351,13 @@ mod tests {
         let seg = Segments {
             total_micros: 1 << 40,
             queue_micros: 3,
-            lock_micros: 70_000, // > u16::MAX → saturates
-            apply_micros: 5,
+            apply_micros: 70_000, // > u16::MAX → saturates
             net_micros: 7,
             other_micros: 0,
         };
         let p = seg.pack();
-        assert_eq!(p >> 48, 3);
-        assert_eq!((p >> 32) & 0xFFFF, u64::from(u16::MAX));
-        assert_eq!((p >> 16) & 0xFFFF, 5);
+        assert_eq!(p >> 32, 3);
+        assert_eq!((p >> 16) & 0xFFFF, u64::from(u16::MAX));
         assert_eq!(p & 0xFFFF, 7);
     }
 
@@ -419,7 +367,6 @@ mod tests {
         let fast = Segments {
             total_micros: 100,
             queue_micros: 10,
-            lock_micros: 0,
             apply_micros: 20,
             net_micros: 60,
             other_micros: 10,
@@ -427,9 +374,8 @@ mod tests {
         let slow = Segments {
             total_micros: 10_000,
             queue_micros: 100,
-            lock_micros: 8_000,
             apply_micros: 400,
-            net_micros: 1_000,
+            net_micros: 9_000,
             other_micros: 500,
         };
         a.observe(&fast, false);
@@ -440,12 +386,12 @@ mod tests {
         snap.merge(&b.snapshot());
         assert_eq!(snap.all.ops, 3);
         assert_eq!(snap.tail.ops, 1);
-        assert_eq!(snap.tail.lock_micros, 8_000);
-        // The tail is lock-dominated and shares() says so.
-        let (_, lock_share, ..) = snap.tail.shares();
-        assert!(lock_share > 0.7, "lock share {lock_share}");
+        assert_eq!(snap.tail.net_micros, 9_000);
+        // The tail is net-dominated and shares() says so.
+        let (_, _, net_share, _) = snap.tail.shares();
+        assert!(net_share > 0.7, "net share {net_share}");
         let j = snap.to_json();
         assert!(j.starts_with("{\"all\":{") && j.contains("\"tail\":{"));
-        assert!(j.contains("\"lock_micros\":8000"));
+        assert!(j.contains("\"net_micros\":9000"));
     }
 }

@@ -51,9 +51,9 @@ pub enum FlightKind {
     Violation = 12,
     /// Panic hook fired (arg: 0).
     Panic = 13,
-    /// Critical-path decomposition of a slow op (arg: the four attributed
-    /// segments packed by `critpath::Segments::pack` — queue, lock, apply,
-    /// net µs, 16 bits each).
+    /// Critical-path decomposition of a slow op (arg: the three attributed
+    /// segments packed by `critpath::Segments::pack` — queue, apply, net
+    /// µs, 16 bits each).
     CritPath = 14,
 }
 

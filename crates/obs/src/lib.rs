@@ -28,11 +28,11 @@
 //! * [`health`] — the red/amber/green rollup over the alert engine, the
 //!   payload behind the admin surface's `/health`;
 //! * [`prof`] — the continuous profiler: scope-stack statistical sampling
-//!   ([`prof_scope!`] + a ~997 Hz sampler thread), lock-contention and
-//!   allocation attribution, exported as collapsed-stack flamegraph text
-//!   and JSON behind the admin surface's `/profile`;
+//!   ([`prof_scope!`] + a ~997 Hz sampler thread) and allocation
+//!   attribution, exported as collapsed-stack flamegraph text and JSON
+//!   behind the admin surface's `/profile`;
 //! * [`critpath`] — tail critical-path decomposition: a finished span tree
-//!   split into queue / lock / apply / net segments, aggregated into the
+//!   split into queue / apply / net / other segments, aggregated into the
 //!   tail attribution the nemesis reports carry.
 //!
 //! The crate has no external dependencies (offline-shim policy) and only

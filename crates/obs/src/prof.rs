@@ -1,5 +1,5 @@
-//! Continuous profiling: scope-stack statistical sampling plus lock and
-//! allocation attribution.
+//! Continuous profiling: scope-stack statistical sampling plus allocation
+//! attribution.
 //!
 //! The observability plane so far can say *that* a tail burned (alerts,
 //! exemplars, flight dumps) but not *where the time went*. This module is
@@ -18,13 +18,17 @@
 //!   tally and a rotating last-10-seconds window. The table renders as
 //!   collapsed-stack flamegraph text (`frame;frame;frame count`) and as
 //!   JSON — the `/profile` admin endpoint's body.
-//! * **Lock + allocation attribution** — the parking_lot shim reports
-//!   contended acquisitions through a plain-`fn` hook (wait time plus the
-//!   *holder's* scope tag, recorded at acquire), which lands in a wait
-//!   histogram and a per-holder-scope top-K here. [`ProfAlloc`] is a
-//!   counting global allocator (generalized from the bench harness) that
-//!   charges every heap allocation to the allocating thread's current
-//!   scope, so `/profile` can report allocs by subsystem.
+//! * **Allocation attribution** — [`ProfAlloc`] is a counting global
+//!   allocator (generalized from the bench harness) that charges every
+//!   heap allocation to the allocating thread's current scope, so
+//!   `/profile` can report allocs by subsystem.
+//!
+//! There is no lock attribution. A store, its trigger engine and its
+//! persistence engine each have one owner; the mutexes left guard state
+//! two threads really share (the runtime's inboxes and gates, node
+//! telemetry, history sinks, this crate's registries) and are plain
+//! `std::sync` ones. The holder-blame hooks this module once had recorded
+//! zero contended waits on a loaded cluster.
 //!
 //! # Sampling safety
 //!
@@ -44,8 +48,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::hist::Histogram;
-
 /// Published stack frames per thread; deeper nesting still balances but is
 /// truncated to this many leading frames in samples.
 pub const MAX_DEPTH: usize = 12;
@@ -64,9 +66,6 @@ pub const WINDOW_SECS: u64 = 10;
 /// Shards of the stack-accumulation table (sampler writes and renderers
 /// read concurrently; sharding bounds any single lock hold).
 const TABLE_SHARDS: usize = 8;
-
-/// Entries reported in the contended-lock top-K.
-const LOCK_TOP_K: usize = 10;
 
 // ---------------------------------------------------------------------------
 // Scope-name interning
@@ -139,8 +138,7 @@ thread_local! {
         slot
     };
     /// The current (leaf) scope id, const-initialized so reading it never
-    /// allocates — [`ProfAlloc`] and the lock shim's holder probe read it
-    /// from inside an allocation / under a lock acquire.
+    /// allocates — [`ProfAlloc`] reads it from inside an allocation.
     static CURRENT: std::cell::Cell<u16> = const { std::cell::Cell::new(0) };
 }
 
@@ -158,8 +156,7 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// The calling thread's current scope id (0 when none). This is the
-/// holder tag the lock shim stores at acquire time and the bucket
+/// The calling thread's current scope id (0 when none): the bucket
 /// [`ProfAlloc`] charges allocations to.
 #[inline]
 pub fn current_scope() -> u16 {
@@ -387,58 +384,6 @@ pub fn samples_total() -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Lock-contention attribution
-// ---------------------------------------------------------------------------
-
-static LOCK_WAITS: [AtomicU64; MAX_SCOPES] = [const { AtomicU64::new(0) }; MAX_SCOPES];
-static LOCK_WAIT_NANOS: [AtomicU64; MAX_SCOPES] = [const { AtomicU64::new(0) }; MAX_SCOPES];
-
-fn lock_wait_hist() -> &'static Histogram {
-    static H: OnceLock<Histogram> = OnceLock::new();
-    H.get_or_init(Histogram::new)
-}
-
-/// The lock shim's scope probe: `fn() -> u32` so the shim stays
-/// dependency-free. Returns the acquiring thread's current scope id.
-pub fn scope_probe() -> u32 {
-    u32::from(current_scope())
-}
-
-/// The lock shim's contention hook: called once per *contended* mutex
-/// acquisition with the measured wait and the holder's scope tag (what the
-/// previous owner stored at its own acquire).
-pub fn on_contended_lock(wait_nanos: u64, holder: u32) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    lock_wait_hist().record(wait_nanos);
-    let idx = (holder as usize).min(MAX_SCOPES - 1);
-    LOCK_WAITS[idx].fetch_add(1, Ordering::Relaxed);
-    LOCK_WAIT_NANOS[idx].fetch_add(wait_nanos, Ordering::Relaxed);
-}
-
-/// The contended-lock top-K: `(holder scope name, waits, total wait ns)`,
-/// descending by total wait.
-pub fn contended_top() -> Vec<(&'static str, u64, u64)> {
-    let mut rows: Vec<(&'static str, u64, u64)> = (0..MAX_SCOPES)
-        .filter_map(|i| {
-            let waits = LOCK_WAITS[i].load(Ordering::Relaxed);
-            if waits == 0 {
-                return None;
-            }
-            Some((
-                scope_name(i as u16),
-                waits,
-                LOCK_WAIT_NANOS[i].load(Ordering::Relaxed),
-            ))
-        })
-        .collect();
-    rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(b.0)));
-    rows.truncate(LOCK_TOP_K);
-    rows
-}
-
-// ---------------------------------------------------------------------------
 // Allocation attribution
 // ---------------------------------------------------------------------------
 
@@ -556,8 +501,8 @@ pub fn render_collapsed(view: View) -> String {
     out
 }
 
-/// Renders the full profile as JSON: both stack views plus the lock and
-/// allocation attribution — the `/profile` admin endpoint's default body.
+/// Renders the full profile as JSON: both stack views plus the allocation
+/// attribution — the `/profile` admin endpoint's default body.
 pub fn render_json() -> String {
     use std::fmt::Write as _;
     fn esc(s: &str) -> String {
@@ -588,28 +533,6 @@ pub fn render_json() -> String {
     stacks_json(&mut out, View::Cumulative);
     out.push_str(",\"window\":");
     stacks_json(&mut out, View::Windowed);
-    // Lock-contention attribution.
-    let h = lock_wait_hist().snapshot();
-    let _ = write!(
-        out,
-        ",\"lock_contention\":{{\"waits\":{},\"wait_p50_nanos\":{},\"wait_p99_nanos\":{},\
-         \"wait_max_nanos\":{},\"top\":[",
-        h.count,
-        h.percentile(0.50),
-        h.percentile(0.99),
-        h.max,
-    );
-    for (i, (scope, waits, nanos)) in contended_top().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"holder\":\"{}\",\"waits\":{waits},\"total_wait_nanos\":{nanos}}}",
-            esc(scope)
-        );
-    }
-    out.push_str("]}");
     // Allocation attribution (all zero unless a ProfAlloc is installed).
     let _ = write!(out, ",\"allocs_total\":{},\"allocs\":[", allocs_total());
     for (i, (scope, n)) in allocs_by_scope().into_iter().enumerate() {
@@ -720,29 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn contended_lock_attribution_ranks_holders() {
-        let _g = test_lock();
-        set_enabled(true);
-        let hot = intern("test.lock.hot");
-        let cold = intern("test.lock.cold");
-        on_contended_lock(5_000, u32::from(hot));
-        on_contended_lock(7_000, u32::from(hot));
-        on_contended_lock(1_000, u32::from(cold));
-        let top = contended_top();
-        let hot_row = top.iter().find(|r| r.0 == "test.lock.hot").expect("hot");
-        let cold_row = top.iter().find(|r| r.0 == "test.lock.cold").expect("cold");
-        assert!(hot_row.1 >= 2 && hot_row.2 >= 12_000);
-        assert!(cold_row.1 >= 1);
-        // Hot holder sorts before cold (more total wait).
-        let hi = top.iter().position(|r| r.0 == "test.lock.hot").unwrap();
-        let ci = top.iter().position(|r| r.0 == "test.lock.cold").unwrap();
-        assert!(hi < ci);
-        // An out-of-range holder tag folds into the overflow bucket
-        // instead of indexing out of bounds.
-        on_contended_lock(1, u32::MAX);
-    }
-
-    #[test]
     fn render_json_is_well_formed_ish() {
         let _g = test_lock();
         set_enabled(true);
@@ -755,7 +655,6 @@ mod tests {
         assert!(j.contains("\"sampler_hz\":997"));
         assert!(j.contains("\"cumulative\":["));
         assert!(j.contains("\"window\":["));
-        assert!(j.contains("\"lock_contention\":{"));
         assert!(j.contains("\"allocs\":["));
         assert!(j.contains("test.json"));
     }

@@ -33,16 +33,12 @@ pub enum SpanKind {
         replica: NodeId,
     },
     /// The node-side apply inside the RPC; `nanos` is the measured
-    /// store-apply time reported back in the ack, `lock_nanos` the lock
-    /// wait the replica reported within it.
+    /// store-apply time reported back in the ack.
     NodeApply {
         /// The replica that applied.
         replica: NodeId,
         /// Wall-clock nanoseconds the store apply took.
         nanos: u64,
-        /// Wall-clock nanoseconds of that spent waiting on locks (0 from a
-        /// single-owner store).
-        lock_nanos: u64,
     },
     /// The quorum decision point (R or W acks assembled).
     QuorumAssembly,
@@ -135,15 +131,8 @@ impl TraceTracker {
     }
 
     /// Marks the ack from `replica` (closes the RPC span and records the
-    /// node's reported apply and lock-wait times).
-    pub fn acked(
-        &mut self,
-        trace: TraceId,
-        replica: NodeId,
-        now: Micros,
-        apply_nanos: u64,
-        lock_nanos: u64,
-    ) {
+    /// node's reported apply time).
+    pub fn acked(&mut self, trace: TraceId, replica: NodeId, now: Micros, apply_nanos: u64) {
         if let Some(t) = self.active.get_mut(&trace) {
             let start = t.open_rpc.remove(&replica).unwrap_or(now);
             t.spans.push(Span {
@@ -155,7 +144,6 @@ impl TraceTracker {
                 kind: SpanKind::NodeApply {
                     replica,
                     nanos: apply_nanos,
-                    lock_nanos,
                 },
                 start: now,
                 end: now,
@@ -241,8 +229,8 @@ mod tests {
         let id = t.begin(100);
         t.sent(id, NodeId(0), 101);
         t.sent(id, NodeId(1), 102);
-        t.acked(id, NodeId(1), 350, 4_000, 0);
-        t.acked(id, NodeId(0), 420, 2_500, 700);
+        t.acked(id, NodeId(1), 350, 4_000);
+        t.acked(id, NodeId(0), 420, 2_500);
         t.assembled(id, 420);
         t.repaired(id, NodeId(2), 421);
         let fin = t.finish(id, 425).expect("finished");
@@ -259,7 +247,6 @@ mod tests {
             SpanKind::NodeApply {
                 replica: NodeId(0),
                 nanos: 2_500,
-                lock_nanos: 700
             }
         )));
     }
@@ -282,7 +269,7 @@ mod tests {
         let mut t = TraceTracker::new(3);
         let ghost = TraceId::compose(99, 12345);
         t.sent(ghost, NodeId(0), 10);
-        t.acked(ghost, NodeId(0), 20, 1_000, 0);
+        t.acked(ghost, NodeId(0), 20, 1_000);
         t.assembled(ghost, 21);
         t.repaired(ghost, NodeId(1), 22);
         assert_eq!(t.in_flight(), 0);
@@ -292,7 +279,7 @@ mod tests {
         let fin = t.finish(id, 150).expect("real trace finishes");
         assert_eq!(fin.total_micros, 50);
         // Late marks after the finish are orphans too.
-        t.acked(id, NodeId(0), 200, 5_000, 0);
+        t.acked(id, NodeId(0), 200, 5_000);
         assert_eq!(t.in_flight(), 0);
     }
 
@@ -317,7 +304,7 @@ mod tests {
         // rather than being dropped or panicking.
         let mut t = TraceTracker::new(5);
         let id = t.begin(0);
-        t.acked(id, NodeId(2), 40, 900, 0);
+        t.acked(id, NodeId(2), 40, 900);
         let fin = t.finish(id, 50).expect("finishes");
         let rpc = fin
             .spans
@@ -330,7 +317,6 @@ mod tests {
             SpanKind::NodeApply {
                 replica: NodeId(2),
                 nanos: 900,
-                lock_nanos: 0
             }
         )));
     }

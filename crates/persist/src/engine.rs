@@ -3,11 +3,11 @@
 //! Table I row "Persistency Strategy: periodically flush or write-ahead
 //! logs according users' needs — different speed and availability". The
 //! engine is driven by the owning node: `note_write` on every accepted
-//! write, `tick` from a periodic timer, `recover` at boot.
+//! write, `tick` from a periodic timer, `recover` at boot. Only that node's
+//! thread ever touches it, so its state is plain fields behind `&mut self`.
 
 use std::path::{Path, PathBuf};
 
-use parking_lot::Mutex;
 use sedna_common::time::Micros;
 use sedna_common::{CausalContext, Key, SednaResult, Timestamp, Value};
 use sedna_memstore::{BatchWrite, MemStore};
@@ -37,16 +37,16 @@ pub enum PersistMode {
 pub struct PersistEngine {
     mode: PersistMode,
     snapshot_path: PathBuf,
-    wal: Option<Mutex<Wal>>,
-    last_flush: Mutex<Micros>,
+    wal: Option<Wal>,
+    last_flush: Micros,
     /// Flush/snapshot count (metrics/tests).
-    flushes: Mutex<u64>,
+    flushes: u64,
     /// Crash-point injection: `Some(n)` tears the WAL frame on the append
     /// after `n` more successful ones (see [`PersistEngine::arm_crash_after`]).
-    crash_after: Mutex<Option<u64>>,
+    crash_after: Option<u64>,
     /// Once a crash point fired (or [`PersistEngine::inject_torn_append`]
     /// ran), every further append fails — the simulated process is dead.
-    crashed: Mutex<bool>,
+    crashed: bool,
 }
 
 impl PersistEngine {
@@ -57,17 +57,17 @@ impl PersistEngine {
         std::fs::create_dir_all(dir)?;
         let snapshot_path = dir.join("store.snapshot");
         let wal = match mode {
-            PersistMode::WriteAhead { .. } => Some(Mutex::new(Wal::open(dir.join("store.wal"))?)),
+            PersistMode::WriteAhead { .. } => Some(Wal::open(dir.join("store.wal"))?),
             _ => None,
         };
         Ok(PersistEngine {
             mode,
             snapshot_path,
             wal,
-            last_flush: Mutex::new(0),
-            flushes: Mutex::new(0),
-            crash_after: Mutex::new(None),
-            crashed: Mutex::new(false),
+            last_flush: 0,
+            flushes: 0,
+            crash_after: None,
+            crashed: false,
         })
     }
 
@@ -78,14 +78,14 @@ impl PersistEngine {
 
     /// Snapshots taken so far.
     pub fn flush_count(&self) -> u64 {
-        *self.flushes.lock()
+        self.flushes
     }
 
     /// Called on every accepted local write. Under `WriteAhead` this logs
     /// and flushes before returning — the write is durable once this
     /// returns — otherwise it is a no-op.
     pub fn note_write(
-        &self,
+        &mut self,
         key: &Key,
         ts: Timestamp,
         value: &Value,
@@ -111,26 +111,25 @@ impl PersistEngine {
     }
 
     /// Called on key removal.
-    pub fn note_remove(&self, key: &Key) -> SednaResult<()> {
+    pub fn note_remove(&mut self, key: &Key) -> SednaResult<()> {
         self.append_record(&WalRecord::Remove { key: key.clone() })
     }
 
-    fn append_record(&self, record: &WalRecord) -> SednaResult<()> {
-        let Some(wal) = &self.wal else {
+    fn append_record(&mut self, record: &WalRecord) -> SednaResult<()> {
+        let Some(wal) = &mut self.wal else {
             return Ok(());
         };
-        if *self.crashed.lock() {
+        if self.crashed {
             return Err(crash_error());
         }
-        if let Some(n) = self.crash_after.lock().as_mut() {
+        if let Some(n) = &mut self.crash_after {
             if *n == 0 {
-                wal.lock().append_torn(record)?;
-                *self.crashed.lock() = true;
+                wal.append_torn(record)?;
+                self.crashed = true;
                 return Err(crash_error());
             }
             *n -= 1;
         }
-        let mut wal = wal.lock();
         wal.append(record)?;
         wal.sync()?;
         Ok(())
@@ -140,12 +139,12 @@ impl PersistEngine {
     /// and marks the engine dead (every later append fails). A nemesis
     /// applies this in the same instant it crashes the owning node, so
     /// recovery replays a mid-append power cut. No-op outside `WriteAhead`.
-    pub fn inject_torn_append(&self) -> SednaResult<()> {
-        if let Some(wal) = &self.wal {
-            wal.lock().append_torn(&WalRecord::Remove {
+    pub fn inject_torn_append(&mut self) -> SednaResult<()> {
+        if let Some(wal) = &mut self.wal {
+            wal.append_torn(&WalRecord::Remove {
                 key: Key::from("__torn__"),
             })?;
-            *self.crashed.lock() = true;
+            self.crashed = true;
         }
         Ok(())
     }
@@ -153,18 +152,18 @@ impl PersistEngine {
     /// Arms a deterministic crash point: after `appends` more successful
     /// appends, the next one writes a torn frame, fails, and kills the
     /// engine. Unit-test companion to [`PersistEngine::inject_torn_append`].
-    pub fn arm_crash_after(&self, appends: u64) {
-        *self.crash_after.lock() = Some(appends);
+    pub fn arm_crash_after(&mut self, appends: u64) {
+        self.crash_after = Some(appends);
     }
 
     /// True once a crash point fired.
     pub fn crashed(&self) -> bool {
-        *self.crashed.lock()
+        self.crashed
     }
 
     /// Periodic driver: takes a snapshot when the policy's interval has
     /// elapsed. Returns true when a snapshot was written.
-    pub fn tick(&self, now: Micros, store: &MemStore) -> SednaResult<bool> {
+    pub fn tick(&mut self, now: Micros, store: &MemStore) -> SednaResult<bool> {
         let interval = match self.mode {
             PersistMode::None => return Ok(false),
             PersistMode::Periodic { interval_micros } => interval_micros,
@@ -172,24 +171,22 @@ impl PersistEngine {
                 snapshot_interval_micros,
             } => snapshot_interval_micros,
         };
-        let mut last = self.last_flush.lock();
-        if now.saturating_sub(*last) < interval {
+        if now.saturating_sub(self.last_flush) < interval {
             return Ok(false);
         }
-        *last = now;
-        drop(last);
+        self.last_flush = now;
         self.flush(store)?;
         Ok(true)
     }
 
     /// Forces a snapshot now (and truncates the WAL, which the snapshot
     /// subsumes).
-    pub fn flush(&self, store: &MemStore) -> SednaResult<()> {
+    pub fn flush(&mut self, store: &MemStore) -> SednaResult<()> {
         write_snapshot(&self.snapshot_path, store)?;
-        if let Some(wal) = &self.wal {
-            wal.lock().truncate()?;
+        if let Some(wal) = &mut self.wal {
+            wal.truncate()?;
         }
-        *self.flushes.lock() += 1;
+        self.flushes += 1;
         Ok(())
     }
 
@@ -268,7 +265,7 @@ mod tests {
     #[test]
     fn none_mode_never_flushes() {
         let dir = tmp_dir("none");
-        let e = PersistEngine::new(&dir, PersistMode::None).unwrap();
+        let mut e = PersistEngine::new(&dir, PersistMode::None).unwrap();
         let s = MemStore::new(StoreConfig::default());
         s.write_latest(&Key::from("k"), ts(1), Value::from("v"));
         assert!(!e.tick(10_000_000, &s).unwrap());
@@ -282,7 +279,7 @@ mod tests {
     #[test]
     fn periodic_mode_flushes_on_interval_and_recovers() {
         let dir = tmp_dir("periodic");
-        let e = PersistEngine::new(
+        let mut e = PersistEngine::new(
             &dir,
             PersistMode::Periodic {
                 interval_micros: 1_000,
@@ -313,7 +310,7 @@ mod tests {
             snapshot_interval_micros: 1_000_000,
         };
         {
-            let e = PersistEngine::new(&dir, mode).unwrap();
+            let mut e = PersistEngine::new(&dir, mode).unwrap();
             let s = MemStore::new(StoreConfig::default());
             for i in 0..10u64 {
                 let k = Key::from(format!("k{i}"));
@@ -345,7 +342,7 @@ mod tests {
         let mode = PersistMode::WriteAhead {
             snapshot_interval_micros: 1_000,
         };
-        let e = PersistEngine::new(&dir, mode).unwrap();
+        let mut e = PersistEngine::new(&dir, mode).unwrap();
         let s = MemStore::new(StoreConfig::default());
         // Phase 1: logged writes, then a snapshot (truncates the log).
         s.write_latest(&Key::from("a"), ts(1), Value::from("1"));
@@ -384,7 +381,7 @@ mod tests {
             snapshot_interval_micros: 1_000_000,
         };
         {
-            let e = PersistEngine::new(&dir, mode).unwrap();
+            let mut e = PersistEngine::new(&dir, mode).unwrap();
             e.arm_crash_after(2);
             for i in 0..2u64 {
                 let k = Key::from(format!("k{i}"));
@@ -420,7 +417,7 @@ mod tests {
             );
         }
         // Recovery sees only the two intact records and repairs the tail.
-        let e = PersistEngine::new(&dir, mode).unwrap();
+        let mut e = PersistEngine::new(&dir, mode).unwrap();
         let fresh = MemStore::new(StoreConfig::default());
         let (rows, replayed) = e.recover(&fresh).unwrap();
         assert_eq!((rows, replayed), (0, 2));
@@ -452,7 +449,7 @@ mod tests {
             snapshot_interval_micros: 1_000_000,
         };
         {
-            let e = PersistEngine::new(&dir, mode).unwrap();
+            let mut e = PersistEngine::new(&dir, mode).unwrap();
             e.note_write(
                 &Key::from("a"),
                 ts(1),
@@ -478,7 +475,7 @@ mod tests {
         let mode = PersistMode::WriteAhead {
             snapshot_interval_micros: 1_000_000,
         };
-        let e = PersistEngine::new(&dir, mode).unwrap();
+        let mut e = PersistEngine::new(&dir, mode).unwrap();
         let k = Key::from("list");
         e.note_write(
             &k,

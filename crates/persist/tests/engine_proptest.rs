@@ -99,10 +99,10 @@ fn run_ops(dir: &PathBuf, ops: &[Op], batch: usize) -> (MemStore, PersistEngine)
     let mode = PersistMode::WriteAhead {
         snapshot_interval_micros: 1_000_000,
     };
-    let engine = PersistEngine::new(dir, mode).unwrap();
+    let mut engine = PersistEngine::new(dir, mode).unwrap();
     let store = MemStore::new(StoreConfig::default());
     let mut pending: Vec<BatchWrite> = Vec::new();
-    let flush_writes = |pending: &mut Vec<BatchWrite>| {
+    let flush_writes = |pending: &mut Vec<BatchWrite>, engine: &mut PersistEngine| {
         let results = store.apply_batch(pending);
         for (op, res) in pending.iter().zip(&results) {
             if res.outcome == WriteOutcome::Ok {
@@ -131,23 +131,23 @@ fn run_ops(dir: &PathBuf, ops: &[Op], batch: usize) -> (MemStore, PersistEngine)
                     latest: *latest,
                 });
                 if pending.len() >= batch {
-                    flush_writes(&mut pending);
+                    flush_writes(&mut pending, &mut engine);
                 }
             }
             Op::Remove { key } => {
-                flush_writes(&mut pending);
+                flush_writes(&mut pending, &mut engine);
                 let key = key_of(*key);
                 if store.remove(&key).is_some() {
                     engine.note_remove(&key).unwrap();
                 }
             }
             Op::Flush => {
-                flush_writes(&mut pending);
+                flush_writes(&mut pending, &mut engine);
                 engine.flush(&store).unwrap();
             }
         }
     }
-    flush_writes(&mut pending);
+    flush_writes(&mut pending, &mut engine);
     (store, engine)
 }
 
@@ -198,7 +198,7 @@ proptest! {
         batch in 1usize..6,
     ) {
         let dir = tmp_dir("torn");
-        let (store, engine) = run_ops(&dir, &ops, batch);
+        let (store, mut engine) = run_ops(&dir, &ops, batch);
         let mode = engine.mode();
 
         // Power cut mid-append: a torn frame lands after every accepted
@@ -210,7 +210,7 @@ proptest! {
         // replays; the torn tail is repaired away. Clocks must match the
         // pre-crash store exactly.
         let recovered = MemStore::new(StoreConfig::default());
-        let engine2 = PersistEngine::new(&dir, mode).unwrap();
+        let mut engine2 = PersistEngine::new(&dir, mode).unwrap();
         engine2.recover(&recovered).unwrap();
         assert_stores_equal(&store, &recovered);
 

@@ -1,18 +1,19 @@
 //! The trigger engine: dirty-record dispatch, flow control, job lifecycle,
 //! and static trigger-circle analysis.
+//!
+//! The engine belongs to the node that owns the swept store and runs on
+//! that node's thread, so it is plain data: mutating methods take
+//! `&mut self`, and no lock or atomic stands between a sweep and its jobs.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
 use sedna_common::time::Micros;
 use sedna_common::Key;
 use sedna_memstore::{DirtyRecord, MemStore};
 
 use crate::job::{JobId, JobSpec};
 use crate::monitor::MonitorScope;
-use crate::sink::{Emits, TriggerSink};
+use crate::sink::Emits;
 
 /// Counters for one scan pass (and cumulatively via [`TriggerEngine`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -42,34 +43,28 @@ impl ScanStats {
 struct JobRuntime {
     spec: JobSpec,
     registered_at: Micros,
-    last_fired: Mutex<HashMap<Key, Micros>>,
-    expired: AtomicBool,
+    /// Last firing per key, holding only firings inside the trigger
+    /// interval (older ones cannot suppress anything and are pruned).
+    last_fired: HashMap<Key, Micros>,
 }
 
 impl JobRuntime {
     fn is_expired(&self, now: Micros) -> bool {
-        if self.expired.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some(timeout) = self.spec.timeout_micros {
-            if now.saturating_sub(self.registered_at) > timeout {
-                self.expired.store(true, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
+        self.spec
+            .timeout_micros
+            .is_some_and(|timeout| now.saturating_sub(self.registered_at) > timeout)
     }
 }
 
 /// The dispatcher. Owns registered jobs; driven by the store's owner
 /// through [`TriggerEngine::scan_once`].
 pub struct TriggerEngine {
-    jobs: RwLock<HashMap<JobId, Arc<JobRuntime>>>,
-    next_job: AtomicU64,
-    next_monitor: AtomicU64,
+    jobs: HashMap<JobId, JobRuntime>,
+    next_job: u32,
+    next_monitor: u32,
     /// monitor id → owning job (for row-column bookkeeping).
-    monitor_owners: RwLock<HashMap<u32, JobId>>,
-    totals: Mutex<ScanStats>,
+    monitor_owners: HashMap<u32, JobId>,
+    totals: ScanStats,
 }
 
 impl Default for TriggerEngine {
@@ -82,49 +77,50 @@ impl TriggerEngine {
     /// An empty engine.
     pub fn new() -> Self {
         TriggerEngine {
-            jobs: RwLock::new(HashMap::new()),
-            next_job: AtomicU64::new(1),
-            next_monitor: AtomicU64::new(1),
-            monitor_owners: RwLock::new(HashMap::new()),
-            totals: Mutex::new(ScanStats::default()),
+            jobs: HashMap::new(),
+            next_job: 1,
+            next_monitor: 1,
+            monitor_owners: HashMap::new(),
+            totals: ScanStats::default(),
         }
     }
 
     /// Registers a job: exact-key hooks are written into the rows'
     /// `Monitors` columns (Fig. 5); prefix hooks live in the engine.
     /// `now` is the registration instant (starts the timeout clock).
-    pub fn register_job(&self, store: &MemStore, spec: JobSpec, now: Micros) -> JobId {
-        let id = JobId(self.next_job.fetch_add(1, Ordering::Relaxed) as u32);
+    pub fn register_job(&mut self, store: &MemStore, spec: JobSpec, now: Micros) -> JobId {
+        let id = JobId(self.next_job);
+        self.next_job += 1;
         for scope in &spec.inputs {
             if let Some(key) = scope.exact_key() {
-                let mid = self.next_monitor.fetch_add(1, Ordering::Relaxed) as u32;
-                self.monitor_owners.write().insert(mid, id);
+                let mid = self.next_monitor;
+                self.next_monitor += 1;
+                self.monitor_owners.insert(mid, id);
                 store.add_monitor(key, mid);
             }
         }
-        let runtime = Arc::new(JobRuntime {
+        let runtime = JobRuntime {
             spec,
             registered_at: now,
-            last_fired: Mutex::new(HashMap::new()),
-            expired: AtomicBool::new(false),
-        });
-        self.jobs.write().insert(id, runtime);
+            last_fired: HashMap::new(),
+        };
+        self.jobs.insert(id, runtime);
         id
     }
 
     /// Unregisters a job and removes its row-column monitors.
-    pub fn unregister_job(&self, store: &MemStore, id: JobId) {
-        let Some(runtime) = self.jobs.write().remove(&id) else {
+    pub fn unregister_job(&mut self, store: &MemStore, id: JobId) {
+        let Some(runtime) = self.jobs.remove(&id) else {
             return;
         };
-        let mut owners = self.monitor_owners.write();
-        let mine: Vec<u32> = owners
+        let mine: Vec<u32> = self
+            .monitor_owners
             .iter()
             .filter(|(_, owner)| **owner == id)
             .map(|(m, _)| *m)
             .collect();
         for mid in mine {
-            owners.remove(&mid);
+            self.monitor_owners.remove(&mid);
             for scope in &runtime.spec.inputs {
                 if let Some(key) = scope.exact_key() {
                     store.remove_monitor(key, mid);
@@ -135,39 +131,38 @@ impl TriggerEngine {
 
     /// Number of live (non-expired) jobs.
     pub fn live_jobs(&self, now: Micros) -> usize {
-        self.jobs
-            .read()
-            .values()
-            .filter(|j| !j.is_expired(now))
-            .count()
+        self.jobs.values().filter(|j| !j.is_expired(now)).count()
     }
 
     /// Cumulative stats over all scans.
     pub fn totals(&self) -> ScanStats {
-        *self.totals.lock()
+        self.totals
     }
 
-    /// One full sweep: scan the store's dirty rows and dispatch them.
-    pub fn scan_once(&self, store: &MemStore, sink: &dyn TriggerSink, now: Micros) -> ScanStats {
+    /// One full sweep: scan the store's dirty rows and dispatch them,
+    /// appending the actions' writes to `out`.
+    pub fn scan_once(&mut self, store: &MemStore, out: &mut Emits, now: Micros) -> ScanStats {
         let records = store.scan_dirty();
-        self.dispatch(&records, sink, now)
+        self.dispatch(&records, out, now)
     }
 
-    /// Dispatches already-collected dirty records to matching jobs.
-    pub fn dispatch(
-        &self,
-        records: &[DirtyRecord],
-        sink: &dyn TriggerSink,
-        now: Micros,
-    ) -> ScanStats {
+    /// Dispatches already-collected dirty records to matching jobs; every
+    /// accepted action writes into `out`, in dispatch order.
+    pub fn dispatch(&mut self, records: &[DirtyRecord], out: &mut Emits, now: Micros) -> ScanStats {
         let mut stats = ScanStats {
             scanned: records.len() as u64,
             ..Default::default()
         };
-        // Snapshot the job list so user code runs without engine locks.
-        let jobs: Vec<Arc<JobRuntime>> = self.jobs.read().values().cloned().collect();
+        // Forget firings older than the interval: they can no longer
+        // suppress a change, so what is left is exactly the flow-control
+        // window and the map stays bounded by it.
+        for job in self.jobs.values_mut() {
+            let interval = job.spec.trigger_interval_micros;
+            job.last_fired
+                .retain(|_, t| now.saturating_sub(*t) < interval);
+        }
         for record in records {
-            for job in &jobs {
+            for job in self.jobs.values_mut() {
                 if job.is_expired(now) {
                     continue;
                 }
@@ -175,16 +170,14 @@ impl TriggerEngine {
                     continue;
                 }
                 // Flow control: discard changes inside the interval
-                // (Sec. IV-B — "the most fresh data matters most").
+                // (Sec. IV-B — "the most fresh data matters most"). Every
+                // remembered firing is inside it, see the pruning above.
                 if job.spec.trigger_interval_micros > 0 {
-                    let mut last = job.last_fired.lock();
-                    if let Some(&t) = last.get(&record.key) {
-                        if now.saturating_sub(t) < job.spec.trigger_interval_micros {
-                            stats.discarded += 1;
-                            continue;
-                        }
+                    if job.last_fired.contains_key(&record.key) {
+                        stats.discarded += 1;
+                        continue;
                     }
-                    last.insert(record.key.clone(), now);
+                    job.last_fired.insert(record.key.clone(), now);
                 }
                 if !job
                     .spec
@@ -194,24 +187,21 @@ impl TriggerEngine {
                     stats.filtered_out += 1;
                     continue;
                 }
-                let mut emits = Emits::default();
-                job.spec.action.action(&record.key, &record.new, &mut emits);
+                let before = out.writes.len();
+                job.spec.action.action(&record.key, &record.new, out);
                 stats.fired += 1;
-                stats.emitted += emits.writes.len() as u64;
-                for (key, value, mode) in emits.writes {
-                    sink.apply(&key, value, mode);
-                }
+                stats.emitted += (out.writes.len() - before) as u64;
             }
         }
-        self.totals.lock().add(&stats);
+        self.totals.add(&stats);
         stats
     }
 
     /// Static trigger-circle detection over registered jobs' declared
     /// outputs (see [`detect_cycles`]).
     pub fn check_cycles(&self) -> Vec<Vec<JobId>> {
-        let jobs = self.jobs.read();
-        let specs: Vec<(JobId, Vec<MonitorScope>, Vec<MonitorScope>)> = jobs
+        let specs: Vec<(JobId, Vec<MonitorScope>, Vec<MonitorScope>)> = self
+            .jobs
             .iter()
             .map(|(id, j)| (*id, j.spec.inputs.clone(), j.spec.declared_outputs.clone()))
             .collect();
@@ -336,13 +326,27 @@ mod tests {
     use sedna_common::time::ManualClock;
     use sedna_common::{NodeId, Timestamp, Value};
     use sedna_memstore::{StoreConfig, VersionedValue};
-    use std::rc::Rc;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
-    fn setup() -> (Rc<MemStore>, TriggerEngine, LocalSink<ManualClock>) {
-        let store = Rc::new(MemStore::new(StoreConfig::default()));
+    fn setup() -> (MemStore, TriggerEngine, LocalSink<ManualClock>) {
+        let store = MemStore::new(StoreConfig::default());
         let engine = TriggerEngine::new();
-        let sink = LocalSink::new(Rc::clone(&store), NodeId(9), ManualClock::new());
+        let sink = LocalSink::new(NodeId(9), ManualClock::new());
         (store, engine, sink)
+    }
+
+    /// One sweep whose emits land back in the same store.
+    fn sweep(
+        engine: &mut TriggerEngine,
+        store: &MemStore,
+        sink: &LocalSink<ManualClock>,
+        now: Micros,
+    ) -> ScanStats {
+        let mut emits = Emits::default();
+        let stats = engine.scan_once(store, &mut emits, now);
+        sink.apply(store, &mut emits);
+        stats
     }
 
     fn ts(micros: u64) -> Timestamp {
@@ -359,7 +363,7 @@ mod tests {
 
     #[test]
     fn exact_key_monitor_fires_action() {
-        let (store, engine, sink) = setup();
+        let (store, mut engine, sink) = setup();
         let fired = Arc::new(AtomicU64::new(0));
         engine.register_job(
             &store,
@@ -372,7 +376,7 @@ mod tests {
         );
         store.write_latest(&Key::from("k"), ts(1), Value::from("v"));
         store.write_latest(&Key::from("other"), ts(1), Value::from("v"));
-        let stats = engine.scan_once(&store, &sink, 10);
+        let stats = sweep(&mut engine, &store, &sink, 10);
         assert_eq!(stats.scanned, 2);
         assert_eq!(stats.fired, 1);
         assert_eq!(fired.load(Ordering::Relaxed), 1);
@@ -380,7 +384,7 @@ mod tests {
 
     #[test]
     fn table_monitor_matches_whole_table() {
-        let (store, engine, sink) = setup();
+        let (store, mut engine, sink) = setup();
         let fired = Arc::new(AtomicU64::new(0));
         engine.register_job(
             &store,
@@ -402,13 +406,13 @@ mod tests {
             .unwrap()
             .encode();
         store.write_latest(&other, ts(1), Value::from("v"));
-        let stats = engine.scan_once(&store, &sink, 10);
+        let stats = sweep(&mut engine, &store, &sink, 10);
         assert_eq!(stats.fired, 3);
     }
 
     #[test]
     fn filter_gates_action_and_counts() {
-        let (store, engine, sink) = setup();
+        let (store, mut engine, sink) = setup();
         let fired = Arc::new(AtomicU64::new(0));
         engine.register_job(
             &store,
@@ -428,16 +432,16 @@ mod tests {
             0,
         );
         store.write_latest(&Key::from("n"), ts(1), Value::from("abc"));
-        engine.scan_once(&store, &sink, 1);
+        sweep(&mut engine, &store, &sink, 1);
         store.write_latest(&Key::from("n"), ts(2), Value::from("ab")); // shrank
-        let stats = engine.scan_once(&store, &sink, 2);
+        let stats = sweep(&mut engine, &store, &sink, 2);
         assert_eq!(stats.filtered_out, 1);
         assert_eq!(fired.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn flow_control_discards_changes_inside_interval() {
-        let (store, engine, sink) = setup();
+        let (store, mut engine, sink) = setup();
         let fired = Arc::new(AtomicU64::new(0));
         engine.register_job(
             &store,
@@ -451,19 +455,53 @@ mod tests {
         // Three rapid changes inside one interval: first fires, rest drop.
         for i in 0..3 {
             store.write_latest(&Key::from("hot"), ts(i + 1), Value::from("v"));
-            engine.scan_once(&store, &sink, 100 * (i + 1));
+            sweep(&mut engine, &store, &sink, 100 * (i + 1));
         }
         assert_eq!(fired.load(Ordering::Relaxed), 1);
         assert_eq!(engine.totals().discarded, 2);
         // After the interval, changes fire again.
         store.write_latest(&Key::from("hot"), ts(10), Value::from("v"));
-        engine.scan_once(&store, &sink, 2_000);
+        sweep(&mut engine, &store, &sink, 2_000);
         assert_eq!(fired.load(Ordering::Relaxed), 2);
     }
 
     #[test]
+    fn flow_control_forgets_firings_older_than_the_interval() {
+        let (store, mut engine, sink) = setup();
+        let id = engine.register_job(
+            &store,
+            JobSpec::builder("many-keys")
+                .input(MonitorScope::Table {
+                    dataset: "ds".into(),
+                    table: "t".into(),
+                })
+                .action(count_action(Arc::new(AtomicU64::new(0))))
+                .trigger_interval(1_000)
+                .build(),
+            0,
+        );
+        let key = |i: u64| {
+            sedna_common::KeyPath::new("ds", "t", format!("k{i}"))
+                .unwrap()
+                .encode()
+        };
+        // K distinct keys fire at t0.
+        for i in 0..64 {
+            store.write_latest(&key(i), ts(1), Value::from("v"));
+        }
+        assert_eq!(sweep(&mut engine, &store, &sink, 100).fired, 64);
+        assert_eq!(engine.jobs[&id].last_fired.len(), 64);
+        // One interval later only the key that fired again is remembered.
+        store.write_latest(&key(0), ts(2), Value::from("v"));
+        assert_eq!(sweep(&mut engine, &store, &sink, 1_100).fired, 1);
+        let last = &engine.jobs[&id].last_fired;
+        assert_eq!(last.len(), 1);
+        assert_eq!(last.get(&key(0)), Some(&1_100));
+    }
+
+    #[test]
     fn action_emits_chain_into_next_scan() {
-        let (store, engine, sink) = setup();
+        let (store, mut engine, sink) = setup();
         // Job A: watches "in", writes "mid". Job B: watches "mid", writes "out".
         engine.register_job(
             &store,
@@ -492,8 +530,8 @@ mod tests {
             0,
         );
         store.write_latest(&Key::from("in"), ts(1), Value::from("payload"));
-        engine.scan_once(&store, &sink, 1); // fires A, writes mid
-        engine.scan_once(&store, &sink, 2); // fires B, writes out
+        sweep(&mut engine, &store, &sink, 1); // fires A, writes mid
+        sweep(&mut engine, &store, &sink, 2); // fires B, writes out
         assert_eq!(
             store.read_latest(&Key::from("out")).unwrap().value,
             Value::from("payload")
@@ -502,7 +540,7 @@ mod tests {
 
     #[test]
     fn looping_job_is_tamed_by_interval() {
-        let (store, engine, sink) = setup();
+        let (store, mut engine, sink) = setup();
         // Self-loop: watches "loop", writes "loop" — the Fig. 4 hazard.
         let fired = Arc::new(AtomicU64::new(0));
         let f2 = Arc::clone(&fired);
@@ -526,7 +564,7 @@ mod tests {
         store.write_latest(&Key::from("loop"), ts(0), Value::from("go"));
         // Scan rapidly within one interval: only the first change fires.
         for i in 0..50u64 {
-            engine.scan_once(&store, &sink, 10 + i);
+            sweep(&mut engine, &store, &sink, 10 + i);
         }
         assert_eq!(fired.load(Ordering::Relaxed), 1, "flood suppressed");
         assert!(engine.totals().discarded >= 1);
@@ -537,7 +575,7 @@ mod tests {
 
     #[test]
     fn job_timeout_expires_job() {
-        let (store, engine, sink) = setup();
+        let (store, mut engine, sink) = setup();
         let fired = Arc::new(AtomicU64::new(0));
         engine.register_job(
             &store,
@@ -551,7 +589,7 @@ mod tests {
         );
         assert_eq!(engine.live_jobs(500), 1);
         store.write_latest(&Key::from("k"), ts(1), Value::from("v"));
-        engine.scan_once(&store, &sink, 2_000); // past the timeout
+        sweep(&mut engine, &store, &sink, 2_000); // past the timeout
         assert_eq!(
             fired.load(Ordering::Relaxed),
             0,
@@ -562,7 +600,7 @@ mod tests {
 
     #[test]
     fn unregister_removes_row_monitors() {
-        let (store, engine, sink) = setup();
+        let (store, mut engine, sink) = setup();
         let fired = Arc::new(AtomicU64::new(0));
         let id = engine.register_job(
             &store,
@@ -575,7 +613,7 @@ mod tests {
         );
         engine.unregister_job(&store, id);
         store.write_latest(&Key::from("k"), ts(1), Value::from("v"));
-        let stats = engine.scan_once(&store, &sink, 1);
+        let stats = sweep(&mut engine, &store, &sink, 1);
         assert_eq!(stats.fired, 0);
         // Row-level monitor column is clean again.
         let recs = store.scan_dirty();

@@ -2,7 +2,7 @@
 //! (Listing 1 of the paper, in idiomatic Rust).
 
 use sedna_common::time::Micros;
-use sedna_common::{Key, Value};
+use sedna_common::Key;
 use sedna_memstore::VersionedValue;
 
 use crate::monitor::MonitorScope;
@@ -185,15 +185,10 @@ impl JobSpecBuilder {
     }
 }
 
-/// Convenience emit target used by actions: see [`Emits`].
-pub fn emit(out: &mut Emits, key: Key, value: Value, mode: WriteMode) {
-    out.push(key, value, mode);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sedna_common::{NodeId, Timestamp};
+    use sedna_common::{NodeId, Timestamp, Value};
 
     fn vv(micros: u64, data: &str) -> VersionedValue {
         VersionedValue {

@@ -12,9 +12,9 @@
 //!   possible"; they gate action execution and express iterative-task stop
 //!   conditions by comparing old vs new.
 //! * **Actions** ([`job::Action`]) — the paper's `action(Key,
-//!   Iterator<Value>, Result)`; results are emitted through a
-//!   [`sink::TriggerSink`] back into the storage system, which is how
-//!   multi-trigger pipelines (Fig. 4) chain.
+//!   Iterator<Value>, Result)`; results are collected in a
+//!   [`sink::Emits`] buffer the sweep's caller writes back into the
+//!   storage system, which is how multi-trigger pipelines (Fig. 4) chain.
 //! * **Jobs** ([`job::JobSpec`]) — `TriggerInput(hooks, filter)` +
 //!   action + output, scheduled with a timeout (Listing 1's
 //!   `job.schedule(Timeout)`).
@@ -27,7 +27,8 @@
 //! * **The sweep** ([`engine::TriggerEngine::scan_once`]) — the paper's
 //!   scan of "the Dirty and Monitored fields sequentially" (Sec. IV-C),
 //!   run by the store's owner (a node drives it from a timer): a store
-//!   has one owner, so there is no scanner thread pool.
+//!   has one owner, so there is no scanner thread pool, and the engine is
+//!   that owner's plain data — `&mut self`, no lock, no atomic.
 //! * **Cycle analysis** ([`engine::detect_cycles`]) — static detection of
 //!   trigger circles from declared inputs/outputs, so deployments can warn
 //!   when an application builds an A→C→A loop (the Fig. 4 case study).
@@ -35,14 +36,13 @@
 //! # Example
 //!
 //! ```
-//! use std::rc::Rc;
 //! use sedna_triggers::{TriggerEngine, JobSpec, MonitorScope, FnAction, LocalSink, Emits};
 //! use sedna_memstore::{MemStore, StoreConfig, VersionedValue};
 //! use sedna_common::{Key, Value, Timestamp, NodeId, time::ManualClock};
 //!
-//! let store = Rc::new(MemStore::new(StoreConfig::default()));
-//! let engine = TriggerEngine::new();
-//! let sink = LocalSink::new(Rc::clone(&store), NodeId(0), ManualClock::new());
+//! let store = MemStore::new(StoreConfig::default());
+//! let mut engine = TriggerEngine::new();
+//! let sink = LocalSink::new(NodeId(0), ManualClock::new());
 //!
 //! // Mirror every change of "watched" into "copy".
 //! engine.register_job(&store, JobSpec::builder("mirror")
@@ -54,7 +54,9 @@
 //!     .build(), 0);
 //!
 //! store.write_latest(&Key::from("watched"), Timestamp::new(0, 1, NodeId(1)), Value::from("hi"));
-//! engine.scan_once(&store, &sink, 1);
+//! let mut emits = Emits::default();
+//! engine.scan_once(&store, &mut emits, 1);
+//! sink.apply(&store, &mut emits);
 //! assert_eq!(store.read_latest(&Key::from("copy")).unwrap().value, Value::from("hi"));
 //! ```
 
@@ -66,4 +68,4 @@ pub mod sink;
 pub use engine::{detect_cycles, ScanStats, TriggerEngine};
 pub use job::{Action, Filter, FnAction, FnFilter, JobId, JobSpec, PassAllFilter, WriteMode};
 pub use monitor::MonitorScope;
-pub use sink::{Emits, LocalSink, TriggerSink};
+pub use sink::{Emits, LocalSink};

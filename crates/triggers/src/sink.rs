@@ -1,15 +1,14 @@
 //! Where trigger results go.
 //!
-//! Actions collect writes into an [`Emits`] buffer; the engine then applies
-//! the buffer through a [`TriggerSink`]. The sink is a trait so the same
-//! engine runs in two deployments: [`LocalSink`] writes straight into the
-//! local memstore (standalone / unit tests), while `sedna-core` provides a
-//! cluster sink that routes emits through the quorum write path.
+//! Actions collect writes into an [`Emits`] buffer; the engine appends
+//! every accepted action's writes to one caller-owned buffer per sweep,
+//! and the caller routes it. A node sends the buffer through the quorum
+//! write path; a standalone deployment (or a unit test) hands it to
+//! [`LocalSink`], which writes it straight into the local memstore.
 
 use sedna_common::time::{Clock, TimestampOracle};
 use sedna_common::{Key, NodeId, Value};
 use sedna_memstore::MemStore;
-use std::rc::Rc;
 
 use crate::job::WriteMode;
 
@@ -42,38 +41,31 @@ impl Emits {
     }
 }
 
-/// Destination of trigger results. Runs on the thread that owns the store
-/// being swept, so a sink may hold the (non-`Sync`) store itself.
-pub trait TriggerSink {
-    /// Applies one emitted write.
-    fn apply(&self, key: &Key, value: Value, mode: WriteMode);
-}
-
-/// Sink writing into a local [`MemStore`] with a private timestamp oracle.
+/// Stamps emitted writes with a private timestamp oracle and applies them
+/// to a local [`MemStore`].
 pub struct LocalSink<C: Clock> {
-    store: Rc<MemStore>,
     oracle: TimestampOracle<C>,
 }
 
 impl<C: Clock> LocalSink<C> {
     /// Creates a sink stamping as `origin` from `clock`.
-    pub fn new(store: Rc<MemStore>, origin: NodeId, clock: C) -> Self {
+    pub fn new(origin: NodeId, clock: C) -> Self {
         LocalSink {
-            store,
             oracle: TimestampOracle::new(origin, clock),
         }
     }
-}
 
-impl<C: Clock> TriggerSink for LocalSink<C> {
-    fn apply(&self, key: &Key, value: Value, mode: WriteMode) {
-        let ts = self.oracle.next();
-        match mode {
-            WriteMode::Latest => {
-                self.store.write_latest(key, ts, value);
-            }
-            WriteMode::All => {
-                self.store.write_all(key, ts, value);
+    /// Drains `emits` into `store`, in emission order.
+    pub fn apply(&self, store: &MemStore, emits: &mut Emits) {
+        for (key, value, mode) in emits.writes.drain(..) {
+            let ts = self.oracle.next();
+            match mode {
+                WriteMode::Latest => {
+                    store.write_latest(&key, ts, value);
+                }
+                WriteMode::All => {
+                    store.write_all(&key, ts, value);
+                }
             }
         }
     }
@@ -98,17 +90,21 @@ mod tests {
 
     #[test]
     fn local_sink_writes_with_fresh_timestamps() {
-        let store = Rc::new(MemStore::new(StoreConfig::default()));
-        let sink = LocalSink::new(Rc::clone(&store), NodeId(3), ManualClock::new());
-        sink.apply(&Key::from("k"), Value::from("v1"), WriteMode::Latest);
-        sink.apply(&Key::from("k"), Value::from("v2"), WriteMode::Latest);
+        let store = MemStore::new(StoreConfig::default());
+        let sink = LocalSink::new(NodeId(3), ManualClock::new());
+        let mut emits = Emits::default();
+        emits.latest(Key::from("k"), Value::from("v1"));
+        emits.latest(Key::from("k"), Value::from("v2"));
+        sink.apply(&store, &mut emits);
+        assert!(emits.is_empty(), "applied emits are drained");
         // Second write must supersede the first (oracle is monotonic even
         // on a stalled clock).
         assert_eq!(
             store.read_latest(&Key::from("k")).unwrap().value,
             Value::from("v2")
         );
-        sink.apply(&Key::from("k"), Value::from("v3"), WriteMode::All);
+        emits.all(Key::from("k"), Value::from("v3"));
+        sink.apply(&store, &mut emits);
         assert_eq!(
             store.read_all(&Key::from("k")).unwrap().len(),
             1,
