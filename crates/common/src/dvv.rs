@@ -89,15 +89,7 @@ impl CausalContext {
 
     /// Fold a single dot into the context.
     pub fn observe(&mut self, dot: &Timestamp) {
-        let seq = dot_seq(dot);
-        match self.entries.binary_search_by_key(&dot.origin, |e| e.0) {
-            Ok(i) => {
-                if self.entries[i].1 < seq {
-                    self.entries[i].1 = seq;
-                }
-            }
-            Err(i) => self.entries.insert(i, (dot.origin, seq)),
-        }
+        self.observe_seq(dot.origin, dot_seq(dot));
     }
 
     /// Insert a raw `(actor, seq)` entry (used by decoders).
@@ -108,7 +100,14 @@ impl CausalContext {
                     self.entries[i].1 = seq;
                 }
             }
-            Err(i) => self.entries.insert(i, (actor, seq)),
+            Err(i) => {
+                // Grow by exactly one entry: a context holds one entry per
+                // writer of the key, so the usual doubling (room for four
+                // on the first insert) is slack that a session map of
+                // one-writer contexts would pay for on every key.
+                self.entries.reserve_exact(1);
+                self.entries.insert(i, (actor, seq));
+            }
         }
     }
 

@@ -970,12 +970,14 @@ impl SednaNode {
         }
     }
 
-    /// Applies a coalesced client frame. Writes funnel through
-    /// [`MemStore::apply_batch`] and reads through [`MemStore::get_many`];
-    /// any other sub-op takes the normal per-op path. Replies are coalesced
-    /// symmetrically: several acks share one [`ReplicaOp::AckBatch`] frame
-    /// back to the sender (a single ack travels bare, exactly like an
-    /// unbatched reply).
+    /// Applies a coalesced client frame sub-op by sub-op, in frame order,
+    /// exactly as if they had arrived as individual frames. Each maximal
+    /// run of writes funnels through one [`MemStore::apply_batch`] and each
+    /// maximal run of reads through one [`MemStore::get_many`]; any other
+    /// sub-op takes the normal per-op path in its place. Replies are
+    /// coalesced symmetrically: several acks share one
+    /// [`ReplicaOp::AckBatch`] frame back to the sender (a single ack
+    /// travels bare, exactly like an unbatched reply).
     fn handle_batch(&mut self, from: ActorId, ops: Vec<ReplicaOp>, ctx: &mut Ctx<'_, SednaMsg>) {
         let n = ops.len();
         let mut acks: Vec<Option<ReplicaOp>> = vec![None; n];
@@ -1001,6 +1003,7 @@ impl SednaNode {
                     trace,
                 } => {
                     if self.owns(&key) {
+                        self.apply_read_run(&mut read_meta, &mut read_keys, &mut acks);
                         write_meta.push((i, req, kind, trace));
                         write_items.push(BatchWrite {
                             key,
@@ -1021,6 +1024,8 @@ impl SednaNode {
                 }
                 ReplicaOp::Read { req, key, trace: _ } => {
                     if self.owns(&key) {
+                        let now = ctx.now();
+                        self.apply_write_run(&mut write_meta, &mut write_items, &mut acks, now);
                         read_meta.push((i, req));
                         read_keys.push(key);
                     } else {
@@ -1036,55 +1041,86 @@ impl SednaNode {
                 // Never nested; drop malformed frames.
                 ReplicaOp::Batch { .. } | ReplicaOp::AckBatch { .. } => {}
                 // Anything else (pushes, transfers, ...) replies — or not —
-                // through its regular handler.
-                other => self.handle_replica(from, other, ctx),
+                // through its regular handler, after the ops framed before it.
+                other => {
+                    let now = ctx.now();
+                    self.apply_write_run(&mut write_meta, &mut write_items, &mut acks, now);
+                    self.apply_read_run(&mut read_meta, &mut read_keys, &mut acks);
+                    self.handle_replica(from, other, ctx);
+                }
             }
         }
-        // Every sub-op reports the whole batch's apply time: that is how
-        // long the store was busy on account of this frame.
-        let t0 = std::time::Instant::now();
-        let write_results = {
-            sedna_obs::prof_scope!("node.apply_batch_write");
-            self.store.apply_batch(&write_items)
-        };
-        let write_nanos = t0.elapsed().as_nanos() as u64;
-        if !write_items.is_empty() {
-            self.obs.apply_hist.record(write_nanos);
-        }
-        for (((i, req, _kind, trace), item), res) in
-            write_meta.into_iter().zip(&write_items).zip(write_results)
-        {
-            let ack = self.finish_write(item, res, trace, ctx.now());
-            acks[i] = Some(ReplicaOp::WriteAck {
-                req,
-                ack,
-                apply_nanos: write_nanos,
-                lock_nanos: 0,
-            });
-        }
-        let t0 = std::time::Instant::now();
-        let read_results = {
-            sedna_obs::prof_scope!("node.apply_batch_read");
-            self.store.get_many(&read_keys)
-        };
-        let read_nanos = t0.elapsed().as_nanos() as u64;
-        if !read_keys.is_empty() {
-            self.obs.apply_hist.record(read_nanos);
-        }
-        for (((i, req), key), snap) in read_meta.into_iter().zip(&read_keys).zip(read_results) {
-            acks[i] = Some(ReplicaOp::ReadReply {
-                req,
-                reply: self.read_reply(key, snap),
-                apply_nanos: read_nanos,
-                lock_nanos: 0,
-            });
-        }
+        let now = ctx.now();
+        self.apply_write_run(&mut write_meta, &mut write_items, &mut acks, now);
+        self.apply_read_run(&mut read_meta, &mut read_keys, &mut acks);
         let mut acks: Vec<ReplicaOp> = acks.into_iter().flatten().collect();
         match acks.len() {
             0 => {}
             1 => ctx.send(from, SednaMsg::Replica(acks.pop().expect("one"))),
             _ => ctx.send(from, SednaMsg::Replica(ReplicaOp::AckBatch { acks })),
         }
+    }
+
+    /// Applies a run of batched writes with one [`MemStore::apply_batch`]
+    /// and fills in their acks; leaves the run empty. Every write reports
+    /// the whole run's apply time: that is how long the store was busy on
+    /// account of it.
+    fn apply_write_run(
+        &mut self,
+        meta: &mut Vec<(usize, RequestId, WriteKind, TraceId)>,
+        items: &mut Vec<BatchWrite>,
+        acks: &mut [Option<ReplicaOp>],
+        now: Micros,
+    ) {
+        if items.is_empty() {
+            return;
+        }
+        let t0 = std::time::Instant::now();
+        let results = {
+            sedna_obs::prof_scope!("node.apply_batch_write");
+            self.store.apply_batch(items)
+        };
+        let nanos = t0.elapsed().as_nanos() as u64;
+        self.obs.apply_hist.record(nanos);
+        for (((i, req, _kind, trace), item), res) in meta.drain(..).zip(items.iter()).zip(results) {
+            let ack = self.finish_write(item, res, trace, now);
+            acks[i] = Some(ReplicaOp::WriteAck {
+                req,
+                ack,
+                apply_nanos: nanos,
+                lock_nanos: 0,
+            });
+        }
+        items.clear();
+    }
+
+    /// Answers a run of batched reads with one [`MemStore::get_many`];
+    /// leaves the run empty. Every read reports the whole run's time.
+    fn apply_read_run(
+        &mut self,
+        meta: &mut Vec<(usize, RequestId)>,
+        keys: &mut Vec<Key>,
+        acks: &mut [Option<ReplicaOp>],
+    ) {
+        if keys.is_empty() {
+            return;
+        }
+        let t0 = std::time::Instant::now();
+        let results = {
+            sedna_obs::prof_scope!("node.apply_batch_read");
+            self.store.get_many(keys)
+        };
+        let nanos = t0.elapsed().as_nanos() as u64;
+        self.obs.apply_hist.record(nanos);
+        for (((i, req), key), snap) in meta.drain(..).zip(keys.iter()).zip(results) {
+            acks[i] = Some(ReplicaOp::ReadReply {
+                req,
+                reply: self.read_reply(key, snap),
+                apply_nanos: nanos,
+                lock_nanos: 0,
+            });
+        }
+        keys.clear();
     }
 
     fn handle_control(&mut self, op: ControlMsg, ctx: &mut Ctx<'_, SednaMsg>) {
@@ -1410,5 +1446,70 @@ impl Actor for SednaNode {
     /// from its timer.
     fn may_block(&self) -> bool {
         self.persist.is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sedna_common::rng::Xoshiro256;
+    use sedna_common::Value;
+    use sedna_net::actor::Effects;
+
+    /// A node that holds every vnode, so it owns every key.
+    fn sole_owner() -> SednaNode {
+        let cfg = ClusterConfig::small();
+        let mut ring = VNodeMap::new(cfg.partitioner.vnode_count(), 1);
+        ring.join(NodeId(0));
+        let mut node = SednaNode::new(cfg, NodeId(0), None);
+        node.ring = Some(ring);
+        node
+    }
+
+    fn batch(node: &mut SednaNode, ops: Vec<ReplicaOp>) -> Vec<ReplicaOp> {
+        let mut rng = Xoshiro256::seeded(1);
+        let mut effects = Effects::default();
+        let mut ctx = Ctx::new(1_000, ActorId(9), &mut rng, &mut effects);
+        node.handle_batch(ActorId(7), ops, &mut ctx);
+        match effects.sends.pop() {
+            Some((ActorId(7), SednaMsg::Replica(ReplicaOp::AckBatch { acks }))) => acks,
+            _ => panic!("expected one AckBatch back to the sender"),
+        }
+    }
+
+    #[test]
+    fn batch_sub_ops_apply_in_frame_order() {
+        let mut node = sole_owner();
+        let key = Key::from("k");
+        let read = |req| ReplicaOp::Read {
+            req: RequestId(req),
+            key: key.clone(),
+            trace: TraceId(0),
+        };
+        let write = ReplicaOp::Write {
+            req: RequestId(2),
+            key: key.clone(),
+            ts: Timestamp::new(5, 0, NodeId(1_000)),
+            value: Value::from("v"),
+            kind: WriteKind::Latest,
+            ctx: CausalContext::EMPTY,
+            trace: TraceId(0),
+        };
+        let acks = batch(&mut node, vec![read(1), write, read(3)]);
+        let replies: Vec<_> = acks
+            .iter()
+            .map(|ack| match ack {
+                ReplicaOp::ReadReply { req, reply, .. } => {
+                    (req.0, matches!(reply, ReplicaReadReply::Missing))
+                }
+                ReplicaOp::WriteAck { req, ack, .. } => {
+                    (req.0, matches!(ack, ReplicaWriteAck::Refused))
+                }
+                other => panic!("unexpected ack {other:?}"),
+            })
+            .collect();
+        // The read framed before the write misses the fresh key; the one
+        // after it sees the write.
+        assert_eq!(replies, vec![(1, true), (2, false), (3, false)]);
     }
 }

@@ -7,11 +7,11 @@
 //! corresponding Monitors field."
 //!
 //! Since the hot-path overhaul, rows store their versions as immutable
-//! refcounted snapshots ([`crate::RowSnapshot`]); the write operations here
-//! are *pure*: they look at the current version slice and either report the
+//! snapshots ([`crate::RowSnapshot`]); the write operations here are
+//! *pure*: they look at the current version slice and either report the
 //! write outdated / a no-op, or produce the replacement snapshot for the
 //! store to swap in (copy-on-write). The Dirty/Monitors columns live in
-//! [`crate::row`]'s writer-owned metadata.
+//! [`crate::row`]'s flags and the store's side tables.
 
 use sedna_common::{CausalContext, Timestamp, Value};
 
@@ -117,8 +117,8 @@ pub(crate) fn apply_dvv_write(
     if collapse {
         // `ts` is ≥ every stored dot and the old clock already covers the
         // pruned siblings, so the row is exactly the new element.
-        return Applied::Replaced(RowSnapshot::from_parts(
-            vec![VersionedValue { ts, value }],
+        return Applied::Replaced(RowSnapshot::single(
+            VersionedValue { ts, value },
             Some(clock),
         ));
     }

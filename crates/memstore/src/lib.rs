@@ -10,15 +10,16 @@
 //!   `write_latest`, which needs no distributed lock).
 //! * **Value lists** — `write_all` keeps one element per *source* server,
 //!   compared and replaced per-source (Sec. III-F).
-//! * **`Dirty` and `Monitors` columns** — every row carries a dirty flag,
-//!   the pre-change value snapshot, and the monitor ids watching it, which
-//!   the trigger subsystem's sweep collects (Sec. IV-C, Fig. 5).
+//! * **`Dirty` and `Monitors` columns** — every row carries a dirty and a
+//!   monitored flag; the pre-change value snapshot of a dirty row and the
+//!   monitor ids watching a monitored one sit in side tables, which the
+//!   trigger subsystem's sweep collects (Sec. IV-C, Fig. 5).
 //! * **One owner, no locks** — a [`MemStore`] is `Send` and not `Sync`:
 //!   the node actor that owns it is the only thing that touches it, so the
 //!   engine is one open-addressing table over slab-allocated rows behind a
 //!   `RefCell`, with no mutex and no atomics. Reads return a
-//!   refcounted [`RowSnapshot`] — a refcount bump, not a deep clone — and
-//!   writes swap in a replacement snapshot. (The paper's "Read&Write …
+//!   [`RowSnapshot`] — a refcount bump, not a deep clone — and writes swap
+//!   in a replacement snapshot. (The paper's "Read&Write …
 //!   Lock-Free Processing" claim is the timestamp comparison above, not a
 //!   memory model.)
 //! * **LRU eviction with memory accounting** — memcached semantics: when a

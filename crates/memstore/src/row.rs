@@ -1,10 +1,12 @@
 //! Slab-allocated rows.
 //!
 //! A [`Row`] is the physical record behind one key: the interned key and
-//! its hash, the current version list as a refcounted [`RowSnapshot`], the
-//! LRU stamp, and Fig. 5's Dirty/Monitors columns ([`RowMeta`]). All of it
-//! is plain data: the store that owns the slab is the only thing that ever
-//! touches a row.
+//! its hash, the current versions as a [`RowSnapshot`], the LRU stamp, and
+//! two flags for Fig. 5's Dirty and Monitors columns. The column data itself
+//! — the pre-change snapshot of a dirty row and the monitor ids of a
+//! monitored one — lives in the store's side tables, because at any moment
+//! only a few rows have any. All of it is plain data: the store that owns
+//! the slab is the only thing that ever touches a row.
 //!
 //! Rows live in a [`RowSlab`]: fixed-size pages of cells with a free list,
 //! memcached's slab idea. The index refers to a row by its cell number, a
@@ -15,30 +17,27 @@ use sedna_common::Key;
 
 use crate::snap::RowSnapshot;
 
-/// Fig. 5's Dirty and Monitors columns.
-#[derive(Default)]
-pub(crate) struct RowMeta {
-    /// Set whenever a write changes the row; cleared by the trigger scanner.
-    pub dirty: bool,
-    /// Snapshot of the versions taken when the row first became dirty after
-    /// the last scan — the "old data" trigger filters compare against.
-    pub pending_old: Option<RowSnapshot>,
-    /// Monitor ids registered directly on this key.
-    pub monitors: Vec<u32>,
-}
-
 /// One physical row.
 pub(crate) struct Row {
     pub key: Key,
-    /// Mixed hash of the key (also the probe start in the table).
+    /// Mixed hash of the key (its top bits pick the home slot).
     pub hash: u64,
     /// LRU stamp: the store clock value of the last touch.
     pub stamp: u64,
     /// Current versions; replaced whole, never edited, so a snapshot
     /// handed to a reader keeps the value it saw.
     pub snap: RowSnapshot,
-    pub meta: RowMeta,
+    /// 1-based position of this row's pre-change snapshot in the store's
+    /// `pending_old`; 0 when it has none (clean, or dirty since it was new).
+    pub old: u32,
+    /// Dirty column: set whenever a write changes the row, cleared by the
+    /// trigger scanner's sweep.
+    pub dirty: bool,
+    /// Monitors column is non-empty (the ids are in the store's map).
+    pub monitored: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<Option<Row>>() <= 80);
 
 /// Rows per slab page.
 pub(crate) const PAGE: usize = 64;
@@ -91,8 +90,13 @@ impl RowSlab {
         self.pages.iter().flat_map(|p| p.iter().flatten())
     }
 
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Row> {
-        self.pages.iter_mut().flat_map(|p| p.iter_mut().flatten())
+    /// Every live row with its cell number, in cell order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u32, &mut Row)> {
+        self.pages
+            .iter_mut()
+            .flat_map(|p| p.iter_mut())
+            .enumerate()
+            .filter_map(|(idx, cell)| Some((idx as u32, cell.as_mut()?)))
     }
 
     #[inline]
@@ -129,7 +133,9 @@ mod tests {
             hash: 7,
             stamp: 0,
             snap: versions(1, "v"),
-            meta: RowMeta::default(),
+            old: 0,
+            dirty: false,
+            monitored: false,
         }
     }
 

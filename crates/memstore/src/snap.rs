@@ -1,15 +1,20 @@
-//! Refcounted, immutable row snapshots.
+//! Immutable row snapshots.
 //!
-//! A row's value list is stored as an [`Arc`]'d [`SnapRepr`] that is never
-//! mutated in place — writers build a replacement and swap the row's
-//! pointer. Readers therefore return a [`RowSnapshot`] (a refcount bump)
-//! instead of deep-cloning a `Vec<VersionedValue>`, and the trigger
-//! scanner's pre-change snapshot (`pending_old`) is an `Arc` clone of
-//! whatever the row held, taken in O(1).
+//! A row's value list is never mutated in place — writers build a
+//! replacement and swap it into the row. Readers therefore return a
+//! [`RowSnapshot`] clone instead of deep-cloning a `Vec<VersionedValue>`,
+//! and the trigger scanner's pre-change snapshot (`pending_old`) is simply
+//! whatever the row held, moved out in O(1).
 //!
-//! The single-version case — `write_latest`'s steady state — is stored
-//! inline in the enum ([`Vals::One`]), so the common read is one pointer
-//! chase with no boxed-slice indirection.
+//! The snapshot is a 40-byte enum with three shapes:
+//!
+//! * [`Repr::Empty`] — a row with no data; no allocation.
+//! * [`Repr::One`] — exactly one version with an implicit clock, which is
+//!   `write_latest`'s steady state under one writer. The version sits inline,
+//!   so writing it allocates nothing and cloning it is one `Value` refcount
+//!   bump.
+//! * [`Repr::Shared`] — two or more versions, or any row that carries an
+//!   explicit clock, behind an [`Arc`] so clones stay O(1).
 //!
 //! Since the dotted-version-vector upgrade the snapshot also carries the
 //! **row clock**: a [`CausalContext`] covering every dot the row has ever
@@ -24,14 +29,14 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-use sedna_common::CausalContext;
+use sedna_common::{dot_seq, CausalContext};
 
 use crate::entry::VersionedValue;
 
-/// Packed representation of a non-empty version list.
+/// Packed version list of a shared snapshot.
 #[derive(Debug)]
-pub(crate) enum Vals {
-    /// Exactly one version (the `write_latest` fast path).
+enum Vals {
+    /// Exactly one version (a single version under an explicit clock).
     One(VersionedValue),
     /// Two or more versions (one per `write_all` source / DVV sibling).
     Many(Box<[VersionedValue]>),
@@ -39,17 +44,16 @@ pub(crate) enum Vals {
 
 /// A non-empty version list plus (optionally) an explicit row clock.
 #[derive(Debug)]
-pub(crate) struct SnapRepr {
+struct SnapRepr {
     vals: Vals,
-    /// `None` means the clock equals the join of the live dots (the
-    /// steady state when nothing was ever pruned); `Some` stores the full
-    /// clock, which strictly dominates the live dots.
+    /// `None` means the clock equals the join of the live dots; `Some`
+    /// stores the full clock, which strictly dominates the live dots.
     extra_clock: Option<CausalContext>,
 }
 
 impl SnapRepr {
     #[inline]
-    pub(crate) fn as_slice(&self) -> &[VersionedValue] {
+    fn as_slice(&self) -> &[VersionedValue] {
         match &self.vals {
             Vals::One(v) => std::slice::from_ref(v),
             Vals::Many(vs) => vs,
@@ -57,17 +61,35 @@ impl SnapRepr {
     }
 }
 
-/// An immutable, cheaply clonable view of a row's version list at some
-/// moment. Derefs to `[VersionedValue]`; `clone()` is a refcount bump.
-///
-/// The empty snapshot carries no allocation at all.
 #[derive(Clone, Default)]
-pub struct RowSnapshot(pub(crate) Option<Arc<SnapRepr>>);
+enum Repr {
+    #[default]
+    Empty,
+    One(VersionedValue),
+    Shared(Arc<SnapRepr>),
+}
+
+/// An immutable, cheaply clonable view of a row's version list at some
+/// moment. Derefs to `[VersionedValue]`; `clone()` never deep-copies a
+/// version list: it bumps one refcount (or none, for the empty snapshot).
+#[derive(Clone, Default)]
+pub struct RowSnapshot(Repr);
+
+/// True when `clock` covers every dot of `vals` and also something beyond
+/// their join — the only case worth storing the clock explicitly.
+fn adds_to(clock: &CausalContext, vals: &[VersionedValue]) -> bool {
+    vals.iter().all(|v| clock.covers(&v.ts))
+        && clock.entries().any(|(actor, seq)| {
+            !vals
+                .iter()
+                .any(|v| v.ts.origin == actor && dot_seq(&v.ts) == seq)
+        })
+}
 
 impl RowSnapshot {
     /// The empty snapshot (a row with no data).
     pub fn empty() -> RowSnapshot {
-        RowSnapshot(None)
+        RowSnapshot(Repr::Empty)
     }
 
     /// Builds a snapshot from an owned version list with an implicit clock
@@ -81,18 +103,26 @@ impl RowSnapshot {
     /// implicitly, so structurally equal rows compare equal regardless of
     /// how their clocks were supplied.
     pub(crate) fn from_parts(mut v: Vec<VersionedValue>, clock: Option<CausalContext>) -> Self {
-        let extra_clock = clock.filter(|c| {
-            let implied = CausalContext::from_dots(v.iter().map(|vv| &vv.ts));
-            *c != implied && c.dominates(&implied)
-        });
         match v.len() {
-            0 => RowSnapshot(None),
-            1 => RowSnapshot(Some(Arc::new(SnapRepr {
-                vals: Vals::One(v.pop().expect("len checked")),
-                extra_clock,
-            }))),
-            _ => RowSnapshot(Some(Arc::new(SnapRepr {
-                vals: Vals::Many(v.into_boxed_slice()),
+            0 => RowSnapshot::empty(),
+            1 => RowSnapshot::single(v.pop().expect("len checked"), clock),
+            _ => {
+                let extra_clock = clock.filter(|c| adds_to(c, &v));
+                RowSnapshot(Repr::Shared(Arc::new(SnapRepr {
+                    vals: Vals::Many(v.into_boxed_slice()),
+                    extra_clock,
+                })))
+            }
+        }
+    }
+
+    /// One version under `clock` (normalized as in
+    /// [`RowSnapshot::from_parts`]).
+    pub(crate) fn single(v: VersionedValue, clock: Option<CausalContext>) -> RowSnapshot {
+        match clock.filter(|c| adds_to(c, std::slice::from_ref(&v))) {
+            None => RowSnapshot(Repr::One(v)),
+            extra_clock => RowSnapshot(Repr::Shared(Arc::new(SnapRepr {
+                vals: Vals::One(v),
                 extra_clock,
             }))),
         }
@@ -101,7 +131,11 @@ impl RowSnapshot {
     /// The versions as a slice (empty slice for the empty snapshot).
     #[inline]
     pub fn as_slice(&self) -> &[VersionedValue] {
-        self.0.as_deref().map(SnapRepr::as_slice).unwrap_or(&[])
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(v) => std::slice::from_ref(v),
+            Repr::Shared(r) => r.as_slice(),
+        }
     }
 
     /// Copies the versions into an owned `Vec` (e.g. to put on the wire).
@@ -118,7 +152,7 @@ impl RowSnapshot {
     /// causally pruned siblings. Owned because the implicit case computes
     /// it from the live dots.
     pub fn clock(&self) -> CausalContext {
-        match self.0.as_deref().and_then(|r| r.extra_clock.as_ref()) {
+        match self.extra_clock() {
             Some(c) => c.clone(),
             None => CausalContext::from_dots(self.as_slice().iter().map(|v| &v.ts)),
         }
@@ -126,7 +160,10 @@ impl RowSnapshot {
 
     /// The explicit clock, if this row carries one beyond its live dots.
     pub(crate) fn extra_clock(&self) -> Option<&CausalContext> {
-        self.0.as_deref().and_then(|r| r.extra_clock.as_ref())
+        match &self.0 {
+            Repr::Shared(r) => r.extra_clock.as_ref(),
+            Repr::Empty | Repr::One(_) => None,
+        }
     }
 }
 
@@ -196,10 +233,33 @@ mod tests {
 
     #[test]
     fn clone_is_shallow() {
+        // One inline version: the clone shares the value bytes.
         let a = RowSnapshot::from_vec(vec![vv(1, 0, "a")]);
         let b = a.clone();
         assert_eq!(a, b);
+        assert!(std::ptr::eq(
+            a[0].value.as_bytes().as_ptr(),
+            b[0].value.as_bytes().as_ptr()
+        ));
+        // A shared list: the clone shares the whole slice.
+        let a = RowSnapshot::from_vec(vec![vv(1, 0, "a"), vv(2, 1, "b")]);
+        let b = a.clone();
         assert!(std::ptr::eq(a.as_slice().as_ptr(), b.as_slice().as_ptr()));
+    }
+
+    #[test]
+    fn one_implicit_version_stays_inline() {
+        assert!(matches!(
+            RowSnapshot::from_vec(vec![vv(1, 0, "a")]).0,
+            Repr::One(_)
+        ));
+        let mut clock = CausalContext::EMPTY;
+        clock.observe(&Timestamp::new(1, 0, NodeId(0)));
+        clock.observe(&Timestamp::new(9, 0, NodeId(7)));
+        let pruned = RowSnapshot::single(vv(1, 0, "a"), Some(clock.clone()));
+        assert!(matches!(pruned.0, Repr::Shared(_)));
+        assert_eq!(pruned.clock(), clock);
+        assert_ne!(pruned, RowSnapshot::from_vec(vec![vv(1, 0, "a")]));
     }
 
     #[test]

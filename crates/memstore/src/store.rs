@@ -9,7 +9,7 @@
 //! wanted, is more node-shard actors over disjoint vnode sets, never a
 //! shared store.
 //!
-//! Versions are immutable refcounted snapshots ([`RowSnapshot`]): a write
+//! Versions are immutable snapshots ([`RowSnapshot`]): a write
 //! builds the replacement and swaps it into the row, a read hands out a
 //! refcount bump — a single-version read performs zero heap allocations —
 //! and a snapshot taken before a write keeps the value it saw.
@@ -35,6 +35,7 @@
 //! that rule: `read_latest` hands it a snapshot after releasing the cell.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sedna_common::hashing::fnv1a64;
@@ -46,7 +47,7 @@ use crate::entry::{
     apply_dvv_write, latest_of, merge_dvv, payload_of, Applied, VersionedValue, WriteOutcome,
 };
 use crate::policy::{ResolutionConfig, ResolverFn, TablePolicy};
-use crate::row::{Row, RowMeta, RowSlab, PAGE};
+use crate::row::{Row, RowSlab, PAGE};
 use crate::snap::RowSnapshot;
 use crate::stats::StatsSnapshot;
 use crate::table::{is_live, mix, Locate, Table};
@@ -155,6 +156,15 @@ const _: fn() = || {
 struct Inner {
     table: Table,
     rows: RowSlab,
+    /// Fig. 5's "old data": `(cell, versions)` for each row that became
+    /// dirty since the last sweep while holding data, in no order; the row
+    /// points back at its entry (`Row::old`). A dirty row without one was
+    /// new. At most one entry per row, so positions fit in a `u32`; dense,
+    /// so the write and the sweep reach an entry without hashing.
+    pending_old: Vec<(u32, RowSnapshot)>,
+    /// Fig. 5's Monitors column, keyed by cell: exactly the rows whose
+    /// `monitored` flag is set.
+    monitors: HashMap<u32, Vec<u32>>,
     /// LRU clock; every touch stamps the row with the next value.
     clock: u64,
     /// Live rows in the table (including data-less monitor rows).
@@ -255,13 +265,16 @@ impl Inner {
                     Applied::Replaced(new) => {
                         self.engine.sibling_set.record(new.as_slice().len() as u64);
                         let old = self.replace_snap(idx, new);
-                        let meta = &mut self.rows.get_mut(idx).meta;
-                        if !meta.dirty && meta.pending_old.is_none() {
+                        let row = self.rows.get_mut(idx);
+                        if !row.dirty {
+                            row.dirty = true;
                             // The pre-change snapshot is whatever the row
                             // held: moved, not copied.
-                            meta.pending_old = Some(old);
+                            if !old.is_empty() {
+                                self.pending_old.push((idx, old));
+                                row.old = self.pending_old.len() as u32;
+                            }
                         }
-                        meta.dirty = true;
                     }
                 }
                 self.touch(idx);
@@ -282,11 +295,9 @@ impl Inner {
                         hash: h,
                         stamp: self.clock,
                         snap,
-                        meta: RowMeta {
-                            dirty: true,
-                            pending_old: Some(RowSnapshot::empty()),
-                            monitors: Vec::new(),
-                        },
+                        old: 0,
+                        dirty: true,
+                        monitored: false,
                     },
                 );
                 true
@@ -308,8 +319,8 @@ impl Inner {
 
     /// Inserts a fresh row at the vacant slot `ii` its probe found,
     /// growing/cleaning the table first when occupancy (live + tombstones)
-    /// would pass 3/4.
-    fn insert_row(&mut self, ii: usize, row: Row) {
+    /// would pass 3/4. Returns the row's cell.
+    fn insert_row(&mut self, ii: usize, row: Row) -> u32 {
         self.payload_bytes += row_cost(&row);
         self.data_rows += usize::from(!row.snap.is_empty());
         let h = row.hash;
@@ -321,17 +332,14 @@ impl Inner {
             self.tombs -= 1;
         }
         self.live += 1;
+        idx
     }
 
     /// Swaps in a right-sized, tombstone-free table.
     fn rehash(&mut self) {
         sedna_obs::prof_scope!("store.rehash");
         let cap = ((self.live + 1) * 2).next_power_of_two().max(MIN_TABLE_CAP);
-        let old = std::mem::replace(&mut self.table, Table::new(cap));
-        for slot in old.slots.iter().filter(|s| is_live(s.meta)) {
-            // The tag keeps the hash's probe bits, so rows are not read.
-            self.table.insert_new(slot.row, slot.meta);
-        }
+        self.table = self.table.rebuilt(cap);
         self.engine.rehashes += 1;
         self.engine.rehash_rows_moved += self.live as u64;
         flight::record(FlightKind::Rehash, cap as u64);
@@ -339,16 +347,34 @@ impl Inner {
         self.evict_cursor = 0;
     }
 
-    /// Tombstones slot `ii` and takes its row `idx` out of the slab; the
-    /// cell is reusable by the very next insert.
+    /// Tombstones slot `ii` and takes its row `idx` out of the slab, with
+    /// its side-table entries: the cell is reusable by the very next insert,
+    /// and that row must not inherit a dead row's old data or monitors.
     fn unlink(&mut self, ii: usize, idx: u32) -> Row {
         self.table.erase(ii);
         self.live -= 1;
         self.tombs += 1;
         let row = self.rows.release(idx);
+        self.drop_pending_old(row.old);
+        if row.monitored {
+            self.monitors.remove(&idx);
+        }
         self.payload_bytes -= row_cost(&row);
         self.data_rows -= usize::from(!row.snap.is_empty());
         row
+    }
+
+    /// Drops the `pending_old` entry at 1-based position `old` (0 = none),
+    /// keeping the table dense: the last entry moves into the gap and its
+    /// row is re-pointed.
+    fn drop_pending_old(&mut self, old: u32) {
+        let Some(i) = (old as usize).checked_sub(1) else {
+            return;
+        };
+        self.pending_old.swap_remove(i);
+        if let Some(&(moved, _)) = self.pending_old.get(i) {
+            self.rows.get_mut(moved).old = old;
+        }
     }
 
     /// Whole value list of `key` as a refcount bump, counted as a hit or
@@ -393,9 +419,9 @@ impl Inner {
             let mut i = self.evict_cursor % cap;
             for _ in 0..cap {
                 let slot = self.table.slots[i];
-                if is_live(slot.meta) {
+                if is_live(slot.tag) {
                     let row = self.rows.get(slot.row);
-                    if row.meta.monitors.is_empty() {
+                    if !row.monitored {
                         if victim.is_none_or(|(_, _, s)| row.stamp < s) {
                             victim = Some((i, slot.row, row.stamp));
                         }
@@ -433,6 +459,8 @@ impl MemStore {
             inner: RefCell::new(Inner {
                 table: Table::new(MIN_TABLE_CAP),
                 rows: RowSlab::default(),
+                pending_old: Vec::new(),
+                monitors: HashMap::new(),
                 clock: 0,
                 live: 0,
                 tombs: 0,
@@ -597,7 +625,9 @@ impl MemStore {
                         hash: h,
                         stamp: s.clock,
                         snap,
-                        meta: RowMeta::default(),
+                        old: 0,
+                        dirty: false,
+                        monitored: false,
                     },
                 );
                 true
@@ -630,13 +660,8 @@ impl MemStore {
     pub fn add_monitor(&self, key: &Key, monitor: u32) {
         let s = &mut *self.inner.borrow_mut();
         let h = hash_of(key);
-        match s.locate(h, key) {
-            Locate::Found(_, idx) => {
-                let monitors = &mut s.rows.get_mut(idx).meta.monitors;
-                if !monitors.contains(&monitor) {
-                    monitors.push(monitor);
-                }
-            }
+        let idx = match s.locate(h, key) {
+            Locate::Found(_, idx) => idx,
             Locate::Vacant(ii) => s.insert_row(
                 ii,
                 Row {
@@ -644,42 +669,64 @@ impl MemStore {
                     hash: h,
                     stamp: 0,
                     snap: RowSnapshot::empty(),
-                    meta: RowMeta {
-                        dirty: false,
-                        pending_old: None,
-                        monitors: vec![monitor],
-                    },
+                    old: 0,
+                    dirty: false,
+                    monitored: false,
                 },
             ),
+        };
+        s.rows.get_mut(idx).monitored = true;
+        let monitors = s.monitors.entry(idx).or_default();
+        if !monitors.contains(&monitor) {
+            monitors.push(monitor);
         }
     }
 
     /// Removes a monitor id from a key.
     pub fn remove_monitor(&self, key: &Key, monitor: u32) {
         let s = &mut *self.inner.borrow_mut();
-        if let Locate::Found(_, idx) = s.locate(hash_of(key), key) {
-            s.rows.get_mut(idx).meta.monitors.retain(|&m| m != monitor);
+        let Locate::Found(_, idx) = s.locate(hash_of(key), key) else {
+            return;
+        };
+        let Some(monitors) = s.monitors.get_mut(&idx) else {
+            return;
+        };
+        monitors.retain(|&m| m != monitor);
+        if monitors.is_empty() {
+            s.monitors.remove(&idx);
+            s.rows.get_mut(idx).monitored = false;
         }
     }
 
     /// Sweeps the store for dirty rows (the trigger scanner's pass, paper
     /// Sec. IV-C), clearing their dirty flags. Returns exactly the rows
-    /// dirtied since the previous sweep, as refcounted snapshots, so
+    /// dirtied since the previous sweep, as snapshots, so
     /// filters and actions run outside the store.
     pub fn scan_dirty(&self) -> Vec<DirtyRecord> {
         let mut out = Vec::new();
-        for row in self.inner.borrow_mut().rows.iter_mut() {
-            if !row.meta.dirty {
+        let s = &mut *self.inner.borrow_mut();
+        for (idx, row) in s.rows.iter_mut() {
+            if !row.dirty {
                 continue;
             }
-            row.meta.dirty = false;
+            row.dirty = false;
+            let old = match std::mem::take(&mut row.old) {
+                0 => RowSnapshot::empty(),
+                old => std::mem::take(&mut s.pending_old[old as usize - 1].1),
+            };
             out.push(DirtyRecord {
                 key: row.key.clone(),
-                old: row.meta.pending_old.take().unwrap_or_default(),
+                old,
                 new: row.snap.clone(),
-                monitors: row.meta.monitors.clone(),
+                monitors: if row.monitored {
+                    s.monitors[&idx].clone()
+                } else {
+                    Vec::new()
+                },
             });
         }
+        // Every entry belonged to a dirty row and was taken above.
+        s.pending_old.clear();
         out
     }
 
@@ -707,19 +754,20 @@ impl MemStore {
         let mut removed = 0;
         for ii in 0..s.table.capacity() {
             let slot = s.table.slots[ii];
-            if !is_live(slot.meta) {
+            if !is_live(slot.tag) {
                 continue;
             }
             let row = s.rows.get_mut(slot.row);
             if !pred(&row.key) {
                 continue;
             }
-            if row.meta.monitors.is_empty() {
+            if !row.monitored {
                 s.unlink(ii, slot.row);
                 removed += 1;
             } else if !row.snap.is_empty() {
-                row.meta.dirty = false;
-                row.meta.pending_old = None;
+                row.dirty = false;
+                let old = std::mem::take(&mut row.old);
+                s.drop_pending_old(old);
                 s.replace_snap(slot.row, RowSnapshot::empty());
                 removed += 1;
             }

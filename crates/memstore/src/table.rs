@@ -1,9 +1,11 @@
 //! Open-addressing index.
 //!
-//! A [`Table`] is a power-of-two array of `(meta, row)` slots. `meta` is
-//! `EMPTY`, `TOMB`, or the row hash tagged with the live bit; `row` is the
-//! row's cell index in the store's [`RowSlab`]. Probing is linear and
-//! terminates at the first `EMPTY` slot.
+//! A [`Table`] is a power-of-two array of 8-byte `(tag, row)` slots. `tag`
+//! is `EMPTY`, `TOMB`, or the top 32 bits of the row hash with the live bit
+//! (bit 0) set; `row` is the row's cell index in the store's [`RowSlab`].
+//! A key's home slot is the top bits of its hash — which the tag keeps — so
+//! a rehash re-inserts every row from its slot tag alone and never reads a
+//! row. Probing is linear and terminates at the first `EMPTY` slot.
 //!
 //! Inserts take the first tombstone of the probe chain or the terminating
 //! empty slot, deletes tombstone, and the store swaps in a fresh table when
@@ -14,24 +16,26 @@ use sedna_common::Key;
 
 use crate::row::RowSlab;
 
-const EMPTY: u64 = 0;
-const TOMB: u64 = 1;
-const LIVE_BIT: u64 = 1 << 63;
+const EMPTY: u32 = 0;
+const TOMB: u32 = 2;
+const LIVE_BIT: u32 = 1;
 
-/// Tags a hash as a live slot marker (cannot collide with EMPTY/TOMB).
+/// Tags a hash as a live slot marker: its top 32 bits with the live bit
+/// set (so it cannot collide with EMPTY/TOMB). The home slot comes from
+/// the top bits, which the live bit leaves alone.
 #[inline]
-fn tag(hash: u64) -> u64 {
-    hash | LIVE_BIT
+fn tag(hash: u64) -> u32 {
+    (hash >> 32) as u32 | LIVE_BIT
 }
 
 #[inline]
-pub(crate) fn is_live(meta: u64) -> bool {
-    meta & LIVE_BIT != 0
+pub(crate) fn is_live(tag: u32) -> bool {
+    tag & LIVE_BIT != 0
 }
 
-/// Finalizer-mixes a key's FNV-1a hash (splitmix64's finalizer): the low
-/// bits of FNV-1a depend only on the low bits of the key bytes, and linear
-/// probing starts from exactly those bits.
+/// Finalizer-mixes a key's FNV-1a hash (splitmix64's finalizer): FNV-1a's
+/// bits depend unevenly on the key bytes, and the table indexes by the top
+/// bits and compares the next ones.
 #[inline]
 pub(crate) fn mix(mut h: u64) -> u64 {
     h ^= h >> 30;
@@ -43,13 +47,16 @@ pub(crate) fn mix(mut h: u64) -> u64 {
 
 #[derive(Clone, Copy)]
 pub(crate) struct TableSlot {
-    pub meta: u64,
-    /// Slab cell of the row; meaningful only while `meta` is live.
+    pub tag: u32,
+    /// Slab cell of the row; meaningful only while `tag` is live.
     pub row: u32,
 }
 
+const _: () = assert!(std::mem::size_of::<TableSlot>() == 8);
+
 pub(crate) struct Table {
-    mask: u64,
+    /// `32 - log2(capacity)`: a tag's home slot is `tag >> shift`.
+    shift: u32,
     pub slots: Box<[TableSlot]>,
 }
 
@@ -63,18 +70,16 @@ pub(crate) enum Locate {
 }
 
 impl Table {
+    /// A table of `capacity` slots: a power of two, at least 2 and at most
+    /// 2^31 (the live bit leaves 31 home bits).
     pub fn new(capacity: usize) -> Table {
-        debug_assert!(capacity.is_power_of_two());
+        assert!(
+            capacity.is_power_of_two() && (2..=1 << 31).contains(&capacity),
+            "table capacity {capacity} out of range"
+        );
         Table {
-            mask: (capacity - 1) as u64,
-            slots: vec![
-                TableSlot {
-                    meta: EMPTY,
-                    row: 0
-                };
-                capacity
-            ]
-            .into_boxed_slice(),
+            shift: 32 - capacity.trailing_zeros(),
+            slots: vec![TableSlot { tag: EMPTY, row: 0 }; capacity].into_boxed_slice(),
         }
     }
 
@@ -84,8 +89,13 @@ impl Table {
     }
 
     #[inline]
-    fn idx(&self, i: u64) -> usize {
-        (i & self.mask) as usize
+    fn home(&self, tag: u32) -> usize {
+        (tag >> self.shift) as usize
+    }
+
+    #[inline]
+    fn next(&self, ii: usize) -> usize {
+        (ii + 1) & (self.slots.len() - 1)
     }
 
     /// Finds the key or its insert slot, plus the number of slots
@@ -93,25 +103,24 @@ impl Table {
     #[inline]
     pub fn locate(&self, rows: &RowSlab, hash: u64, key: &Key) -> (Locate, u32) {
         let t = tag(hash);
-        let mut i = hash;
+        let mut ii = self.home(t);
         let mut probes = 0u32;
         let mut first_tomb: Option<usize> = None;
         loop {
-            let ii = self.idx(i);
             let slot = self.slots[ii];
             probes += 1;
-            if slot.meta == EMPTY {
+            if slot.tag == EMPTY {
                 return (Locate::Vacant(first_tomb.unwrap_or(ii)), probes);
             }
-            if slot.meta == TOMB {
+            if slot.tag == TOMB {
                 first_tomb.get_or_insert(ii);
-            } else if slot.meta == t {
+            } else if slot.tag == t {
                 let row = rows.get(slot.row);
                 if row.hash == hash && row.key == *key {
                     return (Locate::Found(ii, slot.row), probes);
                 }
             }
-            i = i.wrapping_add(1);
+            ii = self.next(ii);
         }
     }
 
@@ -119,9 +128,9 @@ impl Table {
     /// tombstone (the caller balances its tombstone count).
     pub fn publish(&mut self, ii: usize, row: u32, hash: u64) -> bool {
         let slot = &mut self.slots[ii];
-        let was_tomb = slot.meta == TOMB;
+        let was_tomb = slot.tag == TOMB;
         *slot = TableSlot {
-            meta: tag(hash),
+            tag: tag(hash),
             row,
         };
         was_tomb
@@ -129,24 +138,32 @@ impl Table {
 
     /// Tombstones slot `ii`.
     pub fn erase(&mut self, ii: usize) {
-        self.slots[ii].meta = TOMB;
+        self.slots[ii].tag = TOMB;
     }
 
-    /// Insert into a table that holds no tombstones and not this key
+    /// Insert into a table that holds no tombstones and not this row
     /// (fresh from a rehash): the first empty slot of the chain is the
-    /// place. `hash` may be the key's hash or its slot tag.
-    pub fn insert_new(&mut self, row: u32, hash: u64) {
-        let mut i = hash;
-        loop {
-            let ii = self.idx(i);
-            if self.slots[ii].meta == EMPTY {
-                self.slots[ii] = TableSlot {
-                    meta: tag(hash),
-                    row,
-                };
-                return;
-            }
-            i = i.wrapping_add(1);
+    /// place. `tag` is a live slot tag, from an old slot or a fresh hash.
+    fn insert_tag(&mut self, row: u32, tag: u32) {
+        let mut ii = self.home(tag);
+        while self.slots[ii].tag != EMPTY {
+            ii = self.next(ii);
         }
+        self.slots[ii] = TableSlot { tag, row };
+    }
+
+    /// [`Table::insert_tag`] for a row known by its hash.
+    pub fn insert_new(&mut self, row: u32, hash: u64) {
+        self.insert_tag(row, tag(hash));
+    }
+
+    /// A tombstone-free table of `capacity` slots holding every live row
+    /// of `self`, rebuilt from the slot tags alone.
+    pub fn rebuilt(&self, capacity: usize) -> Table {
+        let mut table = Table::new(capacity);
+        for slot in self.slots.iter().filter(|s| is_live(s.tag)) {
+            table.insert_tag(slot.row, slot.tag);
+        }
+        table
     }
 }
