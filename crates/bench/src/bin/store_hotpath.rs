@@ -9,6 +9,12 @@
 //! single-version reads (`read_latest` and snapshot `read_all`) must be
 //! allocation-free; the run fails otherwise.
 //!
+//! It then times the trigger sweep: dirty [`SWEEP_DIRTY`] rows, run
+//! `scan_dirty`, repeat, and report µs per sweep next to a `for_each_row`
+//! walk of the same table in the same run. A sweep costs the dirty rows,
+//! not the table, so CI gates the sweep-to-walk ratio, which does not
+//! depend on the machine's speed.
+//!
 //! The PR 5 lock-free engine's numbers (and the seed's mutex-per-shard
 //! engine it was compared against) are history: DESIGN.md §16.
 //!
@@ -25,6 +31,10 @@ use sedna_memstore::{MemStore, StoreConfig};
 /// Rows preloaded before measuring (the size of one node's share of the
 /// `read_zipf_large` end-to-end workload).
 const ROWS: u64 = 100_000;
+
+/// Rows dirtied between two timed sweeps: about what one node's 20 ms
+/// sweep finds in `read_zipf_large`.
+const SWEEP_DIRTY: u64 = 100;
 
 // ---------------------------------------------------------------------------
 // Counting allocator
@@ -78,6 +88,7 @@ fn measure(n: u64, mut op: impl FnMut(u64)) -> (f64, f64) {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let ops: u64 = if quick { 200_000 } else { 4_000_000 };
+    let (sweeps, walks): (u64, u64) = if quick { (200, 5) } else { (4_000, 50) };
 
     let keys: Vec<Key> = (0..ROWS)
         .map(|i| Key::from(format!("key-{i:012}")))
@@ -111,6 +122,30 @@ fn main() {
         ),
     ];
 
+    // The overwrites above left every row dirty: start from a clean table.
+    store.scan_dirty();
+    let mut sweep_nanos = 0;
+    for round in 0..sweeps {
+        for i in 0..SWEEP_DIRTY {
+            let at = ROWS + 1 + ops + round * SWEEP_DIRTY + i;
+            store.write_latest(pick(at), ts(at), value.clone());
+        }
+        let t0 = Instant::now();
+        let swept = black_box(store.scan_dirty());
+        assert_eq!(swept.len() as u64, SWEEP_DIRTY);
+        drop(swept);
+        sweep_nanos += t0.elapsed().as_nanos();
+    }
+    let sweep_us = sweep_nanos as f64 / sweeps as f64 / 1e3;
+    let t0 = Instant::now();
+    for _ in 0..walks {
+        store.for_each_row(|key, snap| {
+            black_box((key, snap));
+        });
+    }
+    let walk_us = t0.elapsed().as_nanos() as f64 / walks as f64 / 1e3;
+    let sweep_to_walk = sweep_us / walk_us;
+
     println!("# store_hotpath — one owner thread, {ROWS} rows, {ops} ops per row below");
     println!("{:>14} {:>10} {:>12}", "op", "ns/op", "allocs/op");
     let mut json_rows = Vec::new();
@@ -120,6 +155,15 @@ fn main() {
             "  \"{op}\": {{ \"ns_per_op\": {ns:.1}, \"allocs_per_op\": {allocs:.4} }}"
         ));
     }
+    println!(
+        "# scan_dirty {sweep_us:.1} us per sweep of {SWEEP_DIRTY} dirty rows ({sweeps} sweeps); \
+         for_each_row walk {walk_us:.1} us; ratio {sweep_to_walk:.4}"
+    );
+    json_rows.push(format!(
+        "  \"scan_dirty\": {{ \"dirty_rows\": {SWEEP_DIRTY}, \"sweeps\": {sweeps}, \
+         \"us_per_sweep\": {sweep_us:.2}, \"walk_us\": {walk_us:.1}, \
+         \"sweep_to_walk\": {sweep_to_walk:.4} }}"
+    ));
     let json = format!(
         "{{\n  \"bench\": \"store_hotpath\",\n  \"config\": {{\n    \"quick\": {quick},\n    \
          \"rows\": {ROWS},\n    \"ops\": {ops},\n    \"value_bytes\": 20\n  }},\n{}\n}}\n",

@@ -34,10 +34,15 @@ fn flight_dump_finds_the_ring_of_a_nodes_worker() {
             ClientResult::Ok
         );
     }
-    // Each replica's store records a rehash as its table grows, on the
-    // thread that runs that node. A write returns after W = 2 acks, so the
-    // third replica may still be applying: give it a moment.
+    // Each replica's store records a rehash when its table passes 5 rows,
+    // on the thread that runs that node. A write returns after W = 2 acks,
+    // so one replica can miss it: it may still be applying, or, while the
+    // cluster assembles, it has no ring yet (it refuses the write) or the
+    // gateway's ring does not list it yet. Anti-entropy repairs such a
+    // replica only a few rows per round, so keep writing fresh keys while
+    // waiting: once every ring is complete they reach all three replicas.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut written = 20;
     for n in 0..cluster.config.data_nodes as u32 {
         loop {
             let dump = cluster.flight_dump(NodeId(n));
@@ -46,9 +51,15 @@ fn flight_dump_finds_the_ring_of_a_nodes_worker() {
             }
             assert!(
                 std::time::Instant::now() < deadline,
-                "no flight events for node {n}: {dump:?}"
+                "no flight events for node {n} after {written} writes: {dump:?}"
             );
             std::thread::sleep(std::time::Duration::from_millis(50));
+            let key = Key::from(format!("flight-{written}").as_str());
+            assert_eq!(
+                cluster.write_latest(&key, Value::from("v")),
+                ClientResult::Ok
+            );
+            written += 1;
         }
     }
     cluster.shutdown();

@@ -10,10 +10,12 @@
 //!   `write_latest`, which needs no distributed lock).
 //! * **Value lists** — `write_all` keeps one element per *source* server,
 //!   compared and replaced per-source (Sec. III-F).
-//! * **`Dirty` and `Monitors` columns** — every row carries a dirty and a
-//!   monitored flag; the pre-change value snapshot of a dirty row and the
-//!   monitor ids watching a monitored one sit in side tables, which the
-//!   trigger subsystem's sweep collects (Sec. IV-C, Fig. 5).
+//! * **`Dirty` and `Monitors` columns** — the Dirty column is a bitmap over
+//!   the row slab (one `u64` per 64-row page, plus the list of pages with a
+//!   bit set), and every row carries a monitored flag; the pre-change value
+//!   snapshot of a dirty row and the monitor ids watching a monitored one
+//!   sit in side tables. The trigger subsystem's sweep collects them
+//!   (Sec. IV-C, Fig. 5) at a cost proportional to the dirty rows.
 //! * **One owner, no locks** — a [`MemStore`] is `Send` and not `Sync`:
 //!   the node actor that owns it is the only thing that touches it, so the
 //!   engine is one open-addressing table over slab-allocated rows behind a

@@ -2,16 +2,21 @@
 //!
 //! A [`Row`] is the physical record behind one key: the interned key and
 //! its hash, the current versions as a [`RowSnapshot`], the LRU stamp, and
-//! two flags for Fig. 5's Dirty and Monitors columns. The column data itself
-//! — the pre-change snapshot of a dirty row and the monitor ids of a
-//! monitored one — lives in the store's side tables, because at any moment
-//! only a few rows have any. All of it is plain data: the store that owns
-//! the slab is the only thing that ever touches a row.
+//! a flag for Fig. 5's Monitors column. The column data itself — the
+//! pre-change snapshot of a dirty row and the monitor ids of a monitored
+//! one — lives in the store's side tables, because at any moment only a few
+//! rows have any. All of it is plain data: the store that owns the slab is
+//! the only thing that ever touches a row.
 //!
 //! Rows live in a [`RowSlab`]: fixed-size pages of cells with a free list,
 //! memcached's slab idea. The index refers to a row by its cell number, a
 //! removed row's cell goes straight back on the free list, and pages are
 //! reused, not returned to the allocator, so churn does not pound `malloc`.
+//!
+//! Fig. 5's Dirty column is the slab's too: one bit per cell, a `u64` mask
+//! per page, plus the list of pages whose mask went non-zero since the last
+//! sweep. A sweep reads only those pages' set bits, so it costs the dirty
+//! rows, not the table.
 
 use sedna_common::Key;
 
@@ -30,24 +35,36 @@ pub(crate) struct Row {
     /// 1-based position of this row's pre-change snapshot in the store's
     /// `pending_old`; 0 when it has none (clean, or dirty since it was new).
     pub old: u32,
-    /// Dirty column: set whenever a write changes the row, cleared by the
-    /// trigger scanner's sweep.
-    pub dirty: bool,
     /// Monitors column is non-empty (the ids are in the store's map).
     pub monitored: bool,
 }
 
 const _: () = assert!(std::mem::size_of::<Option<Row>>() <= 80);
 
-/// Rows per slab page.
+/// Rows per slab page: one Dirty bit each in the page's `u64` mask.
 pub(crate) const PAGE: usize = 64;
+
+const _: () = assert!(PAGE == u64::BITS as usize);
+
+/// One slab page: its cells and their Dirty column.
+struct Page {
+    cells: Box<[Option<Row>]>,
+    /// Dirty column of the page's cells: bit `cell % PAGE`.
+    dirty: u64,
+    /// The page is on `RowSlab::dirty_pages`.
+    listed: bool,
+}
 
 /// Page-based row arena with a free list. Pages are never freed while the
 /// slab lives, so cell numbers are stable and recycling is allocation-free.
 #[derive(Default)]
 pub(crate) struct RowSlab {
-    pages: Vec<Box<[Option<Row>]>>,
+    pages: Vec<Page>,
     free: Vec<u32>,
+    /// Pages whose Dirty mask went non-zero since the last sweep, each at
+    /// most once, in no order. A page stays listed when removals clear its
+    /// mask again, so the list never outgrows the page count.
+    dirty_pages: Vec<u32>,
 }
 
 impl RowSlab {
@@ -67,18 +84,24 @@ impl RowSlab {
             Some(idx) => idx,
             None => {
                 let base = (self.pages.len() * PAGE) as u32;
-                self.pages.push((0..PAGE).map(|_| None).collect());
+                self.pages.push(Page {
+                    cells: (0..PAGE).map(|_| None).collect(),
+                    dirty: 0,
+                    listed: false,
+                });
                 self.free.extend((1..PAGE as u32).rev().map(|i| base + i));
                 base
             }
         };
-        self.pages[idx as usize / PAGE][idx as usize % PAGE] = Some(row);
+        self.pages[idx as usize / PAGE].cells[idx as usize % PAGE] = Some(row);
         idx
     }
 
-    /// Takes the row out of cell `idx` and recycles the cell.
+    /// Takes the row out of cell `idx`, clears its Dirty bit and recycles
+    /// the cell.
     pub fn release(&mut self, idx: u32) -> Row {
-        let row = self.pages[idx as usize / PAGE][idx as usize % PAGE]
+        self.clear_dirty(idx);
+        let row = self.pages[idx as usize / PAGE].cells[idx as usize % PAGE]
             .take()
             .expect("released cell holds a row");
         self.free.push(idx);
@@ -87,31 +110,72 @@ impl RowSlab {
 
     /// Every live row, in cell order.
     pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        self.pages.iter().flat_map(|p| p.iter().flatten())
-    }
-
-    /// Every live row with its cell number, in cell order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u32, &mut Row)> {
-        self.pages
-            .iter_mut()
-            .flat_map(|p| p.iter_mut())
-            .enumerate()
-            .filter_map(|(idx, cell)| Some((idx as u32, cell.as_mut()?)))
+        self.pages.iter().flat_map(|p| p.cells.iter().flatten())
     }
 
     #[inline]
     pub fn get(&self, idx: u32) -> &Row {
-        self.pages[idx as usize / PAGE][idx as usize % PAGE]
+        self.pages[idx as usize / PAGE].cells[idx as usize % PAGE]
             .as_ref()
             .expect("indexed cell holds a row")
     }
 
     #[inline]
     pub fn get_mut(&mut self, idx: u32) -> &mut Row {
-        self.pages[idx as usize / PAGE][idx as usize % PAGE]
+        self.pages[idx as usize / PAGE].cells[idx as usize % PAGE]
             .as_mut()
             .expect("indexed cell holds a row")
     }
+
+    /// Sets the Dirty bit of the row in cell `idx`; returns true when it
+    /// was clear.
+    #[inline]
+    pub fn set_dirty(&mut self, idx: u32) -> bool {
+        let n = idx / PAGE as u32;
+        let page = &mut self.pages[n as usize];
+        if page.dirty & bit(idx) != 0 {
+            return false;
+        }
+        page.dirty |= bit(idx);
+        if !page.listed {
+            page.listed = true;
+            self.dirty_pages.push(n);
+        }
+        true
+    }
+
+    /// Clears the Dirty bit of the row in cell `idx`.
+    #[inline]
+    pub fn clear_dirty(&mut self, idx: u32) {
+        self.pages[idx as usize / PAGE].dirty &= !bit(idx);
+    }
+
+    /// The sweep: visits every dirty row with its cell number, in cell
+    /// order, and clears the whole Dirty column. Reads only the listed
+    /// pages.
+    pub fn drain_dirty(&mut self, mut f: impl FnMut(u32, &mut Row)) {
+        self.dirty_pages.sort_unstable();
+        for &n in &self.dirty_pages {
+            let page = &mut self.pages[n as usize];
+            page.listed = false;
+            let mut mask = std::mem::take(&mut page.dirty);
+            while mask != 0 {
+                let i = mask.trailing_zeros();
+                mask &= mask - 1;
+                let row = page.cells[i as usize]
+                    .as_mut()
+                    .expect("dirty cell holds a row");
+                f(n * PAGE as u32 + i, row);
+            }
+        }
+        self.dirty_pages.clear();
+    }
+}
+
+/// Cell `idx`'s bit in its page's Dirty mask.
+#[inline]
+fn bit(idx: u32) -> u64 {
+    1 << (idx as usize % PAGE)
 }
 
 #[cfg(test)]
@@ -134,7 +198,6 @@ mod tests {
             stamp: 0,
             snap: versions(1, "v"),
             old: 0,
-            dirty: false,
             monitored: false,
         }
     }

@@ -265,15 +265,11 @@ impl Inner {
                     Applied::Replaced(new) => {
                         self.engine.sibling_set.record(new.as_slice().len() as u64);
                         let old = self.replace_snap(idx, new);
-                        let row = self.rows.get_mut(idx);
-                        if !row.dirty {
-                            row.dirty = true;
-                            // The pre-change snapshot is whatever the row
-                            // held: moved, not copied.
-                            if !old.is_empty() {
-                                self.pending_old.push((idx, old));
-                                row.old = self.pending_old.len() as u32;
-                            }
+                        // The first dirtying write keeps the pre-change
+                        // snapshot: whatever the row held, moved, not copied.
+                        if self.rows.set_dirty(idx) && !old.is_empty() {
+                            self.pending_old.push((idx, old));
+                            self.rows.get_mut(idx).old = self.pending_old.len() as u32;
                         }
                     }
                 }
@@ -288,7 +284,7 @@ impl Inner {
                 };
                 self.engine.sibling_set.record(snap.as_slice().len() as u64);
                 self.clock += 1;
-                self.insert_row(
+                let idx = self.insert_row(
                     ii,
                     Row {
                         key: key.clone(),
@@ -296,10 +292,10 @@ impl Inner {
                         stamp: self.clock,
                         snap,
                         old: 0,
-                        dirty: true,
                         monitored: false,
                     },
                 );
+                self.rows.set_dirty(idx);
                 true
             }
         };
@@ -626,7 +622,6 @@ impl MemStore {
                         stamp: s.clock,
                         snap,
                         old: 0,
-                        dirty: false,
                         monitored: false,
                     },
                 );
@@ -670,7 +665,6 @@ impl MemStore {
                     stamp: 0,
                     snap: RowSnapshot::empty(),
                     old: 0,
-                    dirty: false,
                     monitored: false,
                 },
             ),
@@ -699,34 +693,36 @@ impl MemStore {
     }
 
     /// Sweeps the store for dirty rows (the trigger scanner's pass, paper
-    /// Sec. IV-C), clearing their dirty flags. Returns exactly the rows
-    /// dirtied since the previous sweep, as snapshots, so
-    /// filters and actions run outside the store.
+    /// Sec. IV-C), clearing the Dirty column. Returns exactly the rows
+    /// dirtied since the previous sweep, in cell order, as snapshots, so
+    /// filters and actions run outside the store. Costs the dirty rows, not
+    /// the table: only pages with a Dirty bit set are read.
     pub fn scan_dirty(&self) -> Vec<DirtyRecord> {
         let mut out = Vec::new();
-        let s = &mut *self.inner.borrow_mut();
-        for (idx, row) in s.rows.iter_mut() {
-            if !row.dirty {
-                continue;
-            }
-            row.dirty = false;
+        let Inner {
+            rows,
+            pending_old,
+            monitors,
+            ..
+        } = &mut *self.inner.borrow_mut();
+        rows.drain_dirty(|idx, row| {
             let old = match std::mem::take(&mut row.old) {
                 0 => RowSnapshot::empty(),
-                old => std::mem::take(&mut s.pending_old[old as usize - 1].1),
+                old => std::mem::take(&mut pending_old[old as usize - 1].1),
             };
             out.push(DirtyRecord {
                 key: row.key.clone(),
                 old,
                 new: row.snap.clone(),
                 monitors: if row.monitored {
-                    s.monitors[&idx].clone()
+                    monitors[&idx].clone()
                 } else {
                     Vec::new()
                 },
             });
-        }
+        });
         // Every entry belonged to a dirty row and was taken above.
-        s.pending_old.clear();
+        pending_old.clear();
         out
     }
 
@@ -765,8 +761,8 @@ impl MemStore {
                 s.unlink(ii, slot.row);
                 removed += 1;
             } else if !row.snap.is_empty() {
-                row.dirty = false;
                 let old = std::mem::take(&mut row.old);
+                s.rows.clear_dirty(slot.row);
                 s.drop_pending_old(old);
                 s.replace_snap(slot.row, RowSnapshot::empty());
                 removed += 1;

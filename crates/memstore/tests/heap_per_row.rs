@@ -248,3 +248,25 @@ fn evicting_dirty_rows_leaks_no_old_data_into_their_cells() {
     assert_eq!(names, vec![key("c"), key("d")]);
     assert!(recs.iter().all(|r| r.old.is_empty()), "{recs:?}");
 }
+
+#[test]
+fn churn_on_one_page_without_a_sweep_keeps_the_dirty_page_list_bounded() {
+    // Each round dirties the page and then clears its last Dirty bit, so
+    // the page's mask goes non-zero 10k times; the page is listed once.
+    let store = MemStore::new(StoreConfig::default());
+    let key = Key::from("churn");
+    let churn = |rounds: std::ops::Range<u64>| {
+        for round in rounds {
+            store.write_latest(&key, ts(round + 1, 0), Value::from("v"));
+            assert!(store.remove(&key).is_some());
+        }
+    };
+    // Warm-up: one-time allocations (the first rehash records into this
+    // thread's flight ring) happen outside the window.
+    churn(0..100);
+    store.scan_dirty();
+    let grown = heap_growth(|| churn(100..10_100));
+    assert!(grown <= 256, "{grown} heap bytes grown over 10k rounds");
+    assert_eq!(store.footprint().slab_pages, 1);
+    assert!(store.scan_dirty().is_empty());
+}

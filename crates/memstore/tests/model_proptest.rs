@@ -283,3 +283,230 @@ proptest! {
         }
     }
 }
+
+/// One step of the dirty-index property: every op that touches Fig. 5's
+/// Dirty or Monitors column, plus the sweep.
+#[derive(Clone, Debug)]
+enum DirtyOp {
+    WriteLatest {
+        key: u8,
+        micros: u64,
+        origin: u8,
+    },
+    WriteAll {
+        key: u8,
+        micros: u64,
+        origin: u8,
+    },
+    Merge {
+        key: u8,
+        micros: u64,
+        origin: u8,
+    },
+    Remove {
+        key: u8,
+    },
+    /// `remove_matching` over the keys whose last digit is `digit`.
+    RemoveMatching {
+        digit: u8,
+    },
+    AddMonitor {
+        key: u8,
+        monitor: u32,
+    },
+    RemoveMonitor {
+        key: u8,
+        monitor: u32,
+    },
+    Sweep,
+}
+
+/// Keys spread over three slab pages, with a hot handful so rows are
+/// written again while dirty.
+fn dirty_key() -> impl Strategy<Value = u8> {
+    prop_oneof![0u8..6, 0u8..160]
+}
+
+fn dirty_op_strategy() -> impl Strategy<Value = DirtyOp> {
+    let write = || (dirty_key(), 0u64..32, 0u8..4);
+    prop_oneof![
+        write().prop_map(|(key, micros, origin)| DirtyOp::WriteLatest {
+            key,
+            micros,
+            origin
+        }),
+        write().prop_map(|(key, micros, origin)| DirtyOp::WriteAll {
+            key,
+            micros,
+            origin
+        }),
+        write().prop_map(|(key, micros, origin)| DirtyOp::Merge {
+            key,
+            micros,
+            origin
+        }),
+        dirty_key().prop_map(|key| DirtyOp::Remove { key }),
+        (0u8..10).prop_map(|digit| DirtyOp::RemoveMatching { digit }),
+        (dirty_key(), 0u32..3).prop_map(|(key, monitor)| DirtyOp::AddMonitor { key, monitor }),
+        (dirty_key(), 0u32..3).prop_map(|(key, monitor)| DirtyOp::RemoveMonitor { key, monitor }),
+        Just(DirtyOp::Sweep),
+    ]
+}
+
+/// Reference model of the Dirty and Monitors columns: the versions of
+/// every row (the DVV model above), the pre-change versions of each dirty
+/// key, and each key's monitor ids in registration order.
+#[derive(Default)]
+struct DirtyModel {
+    rows: DvvModel,
+    dirty: HashMap<u8, Vec<VersionedValue>>,
+    monitors: HashMap<u8, Vec<u32>>,
+}
+
+impl DirtyModel {
+    fn versions(&self, key: u8) -> Vec<VersionedValue> {
+        self.rows.read_all(key).map(sorted).unwrap_or_default()
+    }
+
+    /// Applies a write through `apply`; a write that changed the versions
+    /// dirties the key, keeping the versions it had before the first one.
+    fn write(
+        &mut self,
+        key: u8,
+        apply: impl FnOnce(&mut DvvModel) -> WriteOutcome,
+    ) -> WriteOutcome {
+        let before = self.versions(key);
+        let outcome = apply(&mut self.rows);
+        if self.versions(key) != before {
+            self.dirty.entry(key).or_insert(before);
+        }
+        outcome
+    }
+
+    /// The row is gone: data, clock and dirty state.
+    fn drop_row(&mut self, key: u8) {
+        self.rows.rows.remove(&key);
+        self.dirty.remove(&key);
+    }
+}
+
+/// Checks one sweep against the model: exactly the model's dirty keys, in
+/// the order `for_each_row` visits them, with their old and new versions
+/// and monitors; a second sweep straight after finds nothing.
+fn check_sweep(store: &MemStore, model: &mut DirtyModel) {
+    let ids: HashMap<Key, u8> = model.dirty.keys().map(|&id| (key_of(id), id)).collect();
+    let mut want = Vec::new();
+    store.for_each_row(|key, _| want.extend(ids.get(key).map(|&id| (key.clone(), id))));
+    let recs = store.scan_dirty();
+    let got: Vec<&Key> = recs.iter().map(|r| &r.key).collect();
+    prop_assert_eq!(got, want.iter().map(|(key, _)| key).collect::<Vec<_>>());
+    for (rec, (_, id)) in recs.iter().zip(&want) {
+        prop_assert_eq!(&sorted(rec.old.to_vec()), &model.dirty[id]);
+        prop_assert_eq!(sorted(rec.new.to_vec()), model.versions(*id));
+        let monitors = model.monitors.get(id).cloned().unwrap_or_default();
+        prop_assert_eq!(&rec.monitors, &monitors);
+    }
+    model.dirty.clear();
+    prop_assert!(store.scan_dirty().is_empty(), "a second sweep found rows");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The Dirty column under every op that sets or clears it — writes,
+    /// merges, removals, vnode cleanup, monitor changes and (in a budgeted
+    /// store) eviction — returns exactly what the reference model says at
+    /// every sweep.
+    #[test]
+    fn sweeps_match_the_dirty_model(
+        budgeted in 0u8..2,
+        preload in 0u8..160,
+        ops in proptest::collection::vec(dirty_op_strategy(), 1..300),
+    ) {
+        // A budgeted store holds about 90 single-version rows, so a large
+        // preload and later writes evict (dirty) rows.
+        let budget = (budgeted == 1).then_some(10_000);
+        let store = MemStore::new(StoreConfig { memory_budget: budget, ..StoreConfig::default() });
+        let mut model = DirtyModel::default();
+        // The preload spreads rows over up to three slab pages, so a sweep
+        // sees several listed pages in the order they were dirtied.
+        let preload = (0..preload).map(|key| DirtyOp::WriteLatest { key, micros: 1, origin: 0 });
+        for op in preload.chain(ops) {
+            let evictions = store.stats().evictions;
+            match op {
+                DirtyOp::WriteLatest { key, micros, origin } => {
+                    let (t, v) = (ts(micros, origin), val(micros, origin));
+                    let got = store.write_latest(&key_of(key), t, v.clone());
+                    let want = model.write(key, |rows| rows.write_latest(key, t, v));
+                    prop_assert_eq!(got, want);
+                }
+                DirtyOp::WriteAll { key, micros, origin } => {
+                    let (t, v) = (ts(micros, origin), val(micros, origin));
+                    let got = store.write_all(&key_of(key), t, v.clone());
+                    let want = model.write(key, |rows| rows.write_all(key, t, v));
+                    prop_assert_eq!(got, want);
+                }
+                DirtyOp::Merge { key, micros, origin } => {
+                    let incoming = vec![VersionedValue {
+                        ts: ts(micros, origin),
+                        value: val(micros, origin),
+                    }];
+                    store.merge_row(&key_of(key), &incoming, &CausalContext::EMPTY);
+                    // Repair never dirties a row.
+                    model.rows.merge(key, &incoming);
+                }
+                DirtyOp::Remove { key } => {
+                    store.remove(&key_of(key));
+                    model.drop_row(key);
+                    model.monitors.remove(&key);
+                }
+                DirtyOp::RemoveMatching { digit } => {
+                    let last = b'0' + digit;
+                    store.remove_matching(|k| k.as_bytes().last() == Some(&last));
+                    // Monitored rows stay as empty rows with their monitors;
+                    // either way the data, clock and dirty state are gone.
+                    for key in 0..=u8::MAX {
+                        if key_of(key).as_bytes().last() == Some(&last) {
+                            model.drop_row(key);
+                        }
+                    }
+                }
+                DirtyOp::AddMonitor { key, monitor } => {
+                    store.add_monitor(&key_of(key), monitor);
+                    let ids = model.monitors.entry(key).or_default();
+                    if !ids.contains(&monitor) {
+                        ids.push(monitor);
+                    }
+                }
+                DirtyOp::RemoveMonitor { key, monitor } => {
+                    store.remove_monitor(&key_of(key), monitor);
+                    if let Some(ids) = model.monitors.get_mut(&key) {
+                        ids.retain(|&m| m != monitor);
+                        if ids.is_empty() {
+                            model.monitors.remove(&key);
+                        }
+                    }
+                }
+                DirtyOp::Sweep => check_sweep(&store, &mut model),
+            }
+            // Eviction takes unmonitored rows the model cannot predict:
+            // learn which from the store.
+            if store.stats().evictions > evictions {
+                let gone: Vec<u8> = model
+                    .rows
+                    .rows
+                    .keys()
+                    .copied()
+                    .filter(|&key| {
+                        model.rows.read_all(key).is_some() && !store.contains(&key_of(key))
+                    })
+                    .collect();
+                for key in gone {
+                    prop_assert!(!model.monitors.contains_key(&key), "evicted a monitored row");
+                    model.drop_row(key);
+                }
+            }
+        }
+        check_sweep(&store, &mut model);
+    }
+}

@@ -81,13 +81,19 @@ pub struct FinishedTrace {
 /// Client-side trace bookkeeping: assigns ids, accumulates spans, and
 /// watches for duplicate completions (a correctness invariant checked by
 /// the chaos test).
+///
+/// Finished ids cost nothing: an id this tracker issued (its origin, a
+/// sequence number below `next_seq`) that is no longer active has already
+/// finished. Only ids it never issued are remembered.
 pub struct TraceTracker {
     origin: u64,
     next_seq: u64,
     active: HashMap<TraceId, ActiveTrace>,
     completed: u64,
     duplicates: u64,
-    seen: std::collections::HashSet<TraceId>,
+    /// Orphan ids finished here without a matching begin (none in a
+    /// healthy run).
+    orphans: std::collections::HashSet<TraceId>,
 }
 
 impl TraceTracker {
@@ -100,7 +106,7 @@ impl TraceTracker {
             active: HashMap::new(),
             completed: 0,
             duplicates: 0,
-            seen: std::collections::HashSet::new(),
+            orphans: std::collections::HashSet::new(),
         }
     }
 
@@ -176,20 +182,24 @@ impl TraceTracker {
     /// Completes the trace and returns its span tree. Double completion is
     /// counted (never panics) — the chaos test asserts it stays at zero.
     pub fn finish(&mut self, trace: TraceId, now: Micros) -> Option<FinishedTrace> {
-        if !self.seen.insert(trace) {
-            self.duplicates += 1;
-            return None;
+        if let Some(t) = self.active.remove(&trace) {
+            self.completed += 1;
+            return Some(FinishedTrace {
+                trace,
+                total_micros: now.saturating_sub(t.issued_at),
+                spans: t.spans,
+            });
         }
-        // An orphan finish (no matching begin) is a no-op that must not
-        // inflate the completed count — it still claims the id in `seen`
-        // so a duplicate of the orphan is detected as such.
-        let t = self.active.remove(&trace)?;
-        self.completed += 1;
-        Some(FinishedTrace {
-            trace,
-            total_micros: now.saturating_sub(t.issued_at),
-            spans: t.spans,
-        })
+        // Not active: an id issued here has finished before. An orphan
+        // finish (no matching begin) is a no-op that must not inflate the
+        // completed count; it claims the id so a duplicate of the orphan is
+        // detected as such.
+        let issued_here =
+            trace == TraceId::compose(self.origin, trace.seq()) && trace.seq() < self.next_seq;
+        if issued_here || !self.orphans.insert(trace) {
+            self.duplicates += 1;
+        }
+        None
     }
 
     /// Number of traces completed exactly once.
@@ -294,6 +304,21 @@ mod tests {
         // orphan — the id was claimed by the first finish.
         assert!(t.finish(ghost, 11).is_none());
         assert_eq!(t.duplicates(), 1);
+    }
+
+    #[test]
+    fn finished_ids_are_recognised_without_being_stored() {
+        let mut t = TraceTracker::new(6);
+        let first = t.begin(0);
+        assert!(t.finish(first, 1).is_some());
+        for now in 0..10_000 {
+            let id = t.begin(now);
+            assert!(t.finish(id, now + 1).is_some());
+        }
+        assert!(t.orphans.is_empty());
+        assert!(t.finish(first, 2).is_none());
+        assert_eq!(t.duplicates(), 1);
+        assert_eq!(t.completed(), 10_001);
     }
 
     #[test]
