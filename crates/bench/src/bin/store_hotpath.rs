@@ -15,6 +15,12 @@
 //! not the table, so CI gates the sweep-to-walk ratio, which does not
 //! depend on the machine's speed.
 //!
+//! Last, the store stops watching every row (as a node with no trigger
+//! job does) and the run repeats the overwriting `write_latest` as
+//! `write_latest_unwatched`, then times the unwatched sweep: the same
+//! [`SWEEP_DIRTY`] writes, then a `scan_dirty` that must find nothing.
+//! CI gates that sweep's ratio to the walk too.
+//!
 //! The PR 5 lock-free engine's numbers (and the seed's mutex-per-shard
 //! engine it was compared against) are history: DESIGN.md §16.
 //!
@@ -101,7 +107,7 @@ fn main() {
     // A stride coprime to ROWS walks the keys in a cache-unfriendly order.
     let pick = |i: u64| &keys[((i * 7_919) % ROWS) as usize];
 
-    let results = [
+    let mut results = vec![
         (
             "read_latest",
             measure(ops, |i| {
@@ -146,10 +152,33 @@ fn main() {
     let walk_us = t0.elapsed().as_nanos() as f64 / walks as f64 / 1e3;
     let sweep_to_walk = sweep_us / walk_us;
 
+    // No prefix and no monitor: no row is watched any more.
+    store.set_watched(Vec::new());
+    let base = ROWS + 1 + ops + sweeps * SWEEP_DIRTY;
+    results.push((
+        "write_latest_unwatched",
+        measure(ops, |i| {
+            black_box(store.write_latest(pick(i), ts(base + i), value.clone()));
+        }),
+    ));
+    let mut unwatched_nanos = 0;
+    for round in 0..sweeps {
+        for i in 0..SWEEP_DIRTY {
+            let at = base + ops + round * SWEEP_DIRTY + i;
+            store.write_latest(pick(at), ts(at), value.clone());
+        }
+        let t0 = Instant::now();
+        let swept = black_box(store.scan_dirty());
+        assert!(swept.is_empty(), "an unwatched write dirtied a row");
+        unwatched_nanos += t0.elapsed().as_nanos();
+    }
+    let unwatched_us = unwatched_nanos as f64 / sweeps as f64 / 1e3;
+    let unwatched_to_walk = unwatched_us / walk_us;
+
     println!("# store_hotpath — one owner thread, {ROWS} rows, {ops} ops per row below");
     println!("{:>14} {:>10} {:>12}", "op", "ns/op", "allocs/op");
     let mut json_rows = Vec::new();
-    for (op, (ns, allocs)) in results {
+    for &(op, (ns, allocs)) in &results {
         println!("{op:>14} {ns:>10.1} {allocs:>12.4}");
         json_rows.push(format!(
             "  \"{op}\": {{ \"ns_per_op\": {ns:.1}, \"allocs_per_op\": {allocs:.4} }}"
@@ -164,6 +193,15 @@ fn main() {
          \"us_per_sweep\": {sweep_us:.2}, \"walk_us\": {walk_us:.1}, \
          \"sweep_to_walk\": {sweep_to_walk:.4} }}"
     ));
+    println!(
+        "# unwatched scan_dirty {unwatched_us:.2} us per sweep after {SWEEP_DIRTY} unwatched \
+         writes; ratio to the walk {unwatched_to_walk:.5}"
+    );
+    json_rows.push(format!(
+        "  \"scan_dirty_unwatched\": {{ \"writes\": {SWEEP_DIRTY}, \"sweeps\": {sweeps}, \
+         \"us_per_sweep\": {unwatched_us:.3}, \"walk_us\": {walk_us:.1}, \
+         \"unwatched_sweep_to_walk\": {unwatched_to_walk:.5} }}"
+    ));
     let json = format!(
         "{{\n  \"bench\": \"store_hotpath\",\n  \"config\": {{\n    \"quick\": {quick},\n    \
          \"rows\": {ROWS},\n    \"ops\": {ops},\n    \"value_bytes\": 20\n  }},\n{}\n}}\n",
@@ -172,7 +210,7 @@ fn main() {
     std::fs::write("BENCH_store.json", json).expect("write BENCH_store.json");
     println!("# wrote BENCH_store.json");
 
-    let [(_, (_, read_latest)), (_, (_, read_all)), _] = results;
+    let (read_latest, read_all) = (results[0].1 .1, results[1].1 .1);
     assert!(
         read_latest == 0.0 && read_all == 0.0,
         "single-version reads must be allocation-free \

@@ -145,6 +145,9 @@ struct NodeObs {
     /// Diff-descent depth per probe: 1 = roots matched, 2 = leaves
     /// exchanged but no differing bucket, 3 = rows shipped.
     sync_descent: Hist,
+    /// Wall-clock µs per timer callback, one histogram per timer, so a
+    /// scrape names the callback that held the node's worker.
+    timers: [(TimerToken, Hist); 5],
 }
 
 impl NodeObs {
@@ -154,6 +157,17 @@ impl NodeObs {
         let ping_rtt = registry.hist("sedna_coord_ping_rtt_micros");
         let sync_convergence = registry.hist("sedna_sync_convergence_micros");
         let sync_descent = registry.hist("sedna_sync_descent_depth");
+        let timers = [
+            (T_TICK, "tick"),
+            (T_SCAN, "scan"),
+            (T_STATS, "stats"),
+            (T_SYNC, "sync"),
+            (T_PERSIST, "persist"),
+        ]
+        .map(|(token, name)| {
+            let hist = registry.hist(&format!("sedna_node_timer_{name}_micros"));
+            (token, hist)
+        });
         NodeObs {
             registry,
             journal: Arc::new(EventJournal::new(cfg.journal_capacity)),
@@ -161,6 +175,7 @@ impl NodeObs {
             ping_rtt,
             sync_convergence,
             sync_descent,
+            timers,
         }
     }
 }
@@ -173,6 +188,9 @@ impl SednaNode {
             memory_budget: cfg.memory_budget,
             resolution: cfg.resolution.clone(),
         });
+        // No job yet: no write dirties a row until one registers.
+        let engine = TriggerEngine::new();
+        engine.install_watch_set(&store);
         if let Some(engine) = &persist {
             // Boot-time recovery (snapshot + WAL replay).
             let _ = engine.recover(&store);
@@ -200,7 +218,7 @@ impl SednaNode {
             sync_cursor: 0,
             lease: LeaseCache::new(LeaseConfig::default()),
             lease_req: None,
-            engine: TriggerEngine::new(),
+            engine,
             emit_writer: QuorumWriter::default(),
             next_emit_op: 0,
             persist,
@@ -1303,7 +1321,7 @@ impl SednaNode {
         // Dispatch even an empty sweep: it is where flow control forgets
         // firings older than each job's interval.
         let mut emits = Emits::default();
-        self.engine.dispatch(&records, &mut emits, now);
+        self.engine.dispatch(&self.store, &records, &mut emits, now);
         for (key, value, mode) in emits.writes {
             if let Some(ring) = &self.ring {
                 let vnode = self.cfg.partitioner.locate(&key);
@@ -1376,6 +1394,7 @@ impl Actor for SednaNode {
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx<'_, SednaMsg>) {
+        let t0 = std::time::Instant::now();
         match token {
             T_TICK => self.tick(ctx),
             T_SCAN => self.scan(ctx),
@@ -1417,6 +1436,9 @@ impl Actor for SednaNode {
                 ctx.set_timer(T_SYNC, self.cfg.sync_interval_micros);
             }
             _ => {}
+        }
+        if let Some((_, hist)) = self.obs.timers.iter().find(|(t, _)| *t == token) {
+            hist.record(t0.elapsed().as_micros() as u64);
         }
     }
 
@@ -1511,5 +1533,67 @@ mod tests {
         // The read framed before the write misses the fresh key; the one
         // after it sees the write.
         assert_eq!(replies, vec![(1, true), (2, false), (3, false)]);
+    }
+
+    /// A replica write of `key` at `micros`.
+    fn write(node: &mut SednaNode, key: &Key, micros: u64) {
+        let op = ReplicaOp::Write {
+            req: RequestId(micros),
+            key: key.clone(),
+            ts: Timestamp::new(micros, 0, NodeId(1_000)),
+            value: Value::from("v"),
+            kind: WriteKind::Latest,
+            ctx: CausalContext::EMPTY,
+            trace: TraceId(0),
+        };
+        let mut rng = Xoshiro256::seeded(1);
+        let mut effects = Effects::default();
+        let mut ctx = Ctx::new(1_000, ActorId(9), &mut rng, &mut effects);
+        node.handle_replica(ActorId(7), op, &mut ctx);
+    }
+
+    /// One trigger sweep from the node's scan timer; returns how many
+    /// records it swept.
+    fn sweep(node: &mut SednaNode) -> u64 {
+        let before = node.trigger_totals().scanned;
+        let mut rng = Xoshiro256::seeded(1);
+        let mut effects = Effects::default();
+        let mut ctx = Ctx::new(2_000, ActorId(9), &mut rng, &mut effects);
+        node.on_timer(T_SCAN, &mut ctx);
+        node.trigger_totals().scanned - before
+    }
+
+    #[test]
+    fn only_rows_a_registered_job_watches_fire() {
+        let mut node = sole_owner();
+        let key =
+            |table: &str, k: &str| sedna_common::KeyPath::new("ds", table, k).unwrap().encode();
+        // No job: no write goes dirty, so a sweep finds nothing.
+        write(&mut node, &key("t", "a"), 1);
+        assert_eq!(sweep(&mut node), 0);
+        // A write made before its job registered does not fire it.
+        write(&mut node, &key("t", "before"), 2);
+        let fired = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&fired);
+        node.register_job(
+            JobSpec::builder("table-t")
+                .input(sedna_triggers::MonitorScope::Table {
+                    dataset: "ds".into(),
+                    table: "t".into(),
+                })
+                .action(sedna_triggers::FnAction(
+                    move |k: &Key, _: &[sedna_memstore::VersionedValue], _: &mut Emits| {
+                        seen.lock().unwrap().push(k.clone());
+                    },
+                ))
+                .trigger_interval(0)
+                .build(),
+            1_000,
+        );
+        // A `Table` job: only that table's rows fire.
+        write(&mut node, &key("t", "a"), 3);
+        write(&mut node, &key("u", "a"), 4);
+        assert_eq!(sweep(&mut node), 1);
+        assert_eq!(*fired.lock().unwrap(), vec![key("t", "a")]);
     }
 }

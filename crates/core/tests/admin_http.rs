@@ -145,6 +145,11 @@ fn admin_surface_serves_all_endpoints() {
     // Engine-internals gauges are mirrored on the stats tick.
     assert!(metrics.contains("sedna_engine_rehashes"));
     assert!(metrics.contains("sedna_engine_slab_pages"));
+    // Each node timer has its own wall-clock histogram.
+    for timer in ["tick", "scan", "stats", "sync"] {
+        let count = format!("sedna_node_timer_{timer}_micros_count");
+        assert!(metrics.contains(&count), "no {count} in /metrics");
+    }
 
     let (status, vnodes) = http_get(addr, "/vnodes");
     assert!(status.contains("200"));

@@ -14,8 +14,11 @@
 //!   the row slab (one `u64` per 64-row page, plus the list of pages with a
 //!   bit set), and every row carries a monitored flag; the pre-change value
 //!   snapshot of a dirty row and the monitor ids watching a monitored one
-//!   sit in side tables. The trigger subsystem's sweep collects them
-//!   (Sec. IV-C, Fig. 5) at a cost proportional to the dirty rows.
+//!   sit in side tables. Only *watched* rows go dirty: monitored ones and
+//!   those under a prefix of the store's watch set, which the trigger
+//!   engine keeps equal to its jobs' table and dataset scopes. The
+//!   trigger subsystem's sweep collects them (Sec. IV-C, Fig. 5) at a
+//!   cost proportional to the dirty rows.
 //! * **One owner, no locks** — a [`MemStore`] is `Send` and not `Sync`:
 //!   the node actor that owns it is the only thing that touches it, so the
 //!   engine is one open-addressing table over slab-allocated rows behind a

@@ -14,6 +14,11 @@
 //! refcount bump — a single-version read performs zero heap allocations —
 //! and a snapshot taken before a write keeps the value it saw.
 //!
+//! A write dirties a row, and keeps its pre-change snapshot for the
+//! trigger sweep, only when the row is watched: monitored, or under a
+//! prefix of the watch set ([`MemStore::set_watched`]). An unwatched row's
+//! old snapshot is dropped by the write that displaced it.
+//!
 //! Writes are timestamp-compared inside the row ([`crate::entry`]), so
 //! there is never a read-modify-write transaction across operations — the
 //! paper's "writes on the same key parallel from different sources without
@@ -165,6 +170,9 @@ struct Inner {
     /// Fig. 5's Monitors column, keyed by cell: exactly the rows whose
     /// `monitored` flag is set.
     monitors: HashMap<u32, Vec<u32>>,
+    /// The watch set's key prefixes: a write dirties a row, and keeps its
+    /// old data, only when the row is monitored or its key starts with one.
+    watched: Vec<Vec<u8>>,
     /// LRU clock; every touch stamps the row with the next value.
     clock: u64,
     /// Live rows in the table (including data-less monitor rows).
@@ -265,9 +273,10 @@ impl Inner {
                     Applied::Replaced(new) => {
                         self.engine.sibling_set.record(new.as_slice().len() as u64);
                         let old = self.replace_snap(idx, new);
-                        // The first dirtying write keeps the pre-change
-                        // snapshot: whatever the row held, moved, not copied.
-                        if self.rows.set_dirty(idx) && !old.is_empty() {
+                        // The first dirtying write of a watched row keeps the
+                        // pre-change snapshot: whatever the row held, moved,
+                        // not copied. An unwatched row drops it here.
+                        if self.is_watched(idx) && self.rows.set_dirty(idx) && !old.is_empty() {
                             self.pending_old.push((idx, old));
                             self.rows.get_mut(idx).old = self.pending_old.len() as u32;
                         }
@@ -295,7 +304,9 @@ impl Inner {
                         monitored: false,
                     },
                 );
-                self.rows.set_dirty(idx);
+                if self.is_watched(idx) {
+                    self.rows.set_dirty(idx);
+                }
                 true
             }
         };
@@ -311,6 +322,17 @@ impl Inner {
             outcome: WriteOutcome::Ok,
             was_new,
         }
+    }
+
+    /// True when a write to the row in cell `idx` must dirty it.
+    #[inline]
+    fn is_watched(&self, idx: u32) -> bool {
+        let row = self.rows.get(idx);
+        row.monitored
+            || self
+                .watched
+                .iter()
+                .any(|prefix| row.key.as_bytes().starts_with(prefix))
     }
 
     /// Inserts a fresh row at the vacant slot `ii` its probe found,
@@ -449,7 +471,7 @@ impl Inner {
 }
 
 impl MemStore {
-    /// Creates a store.
+    /// Creates a store that watches every row (the empty prefix).
     pub fn new(config: StoreConfig) -> Self {
         MemStore {
             inner: RefCell::new(Inner {
@@ -457,6 +479,7 @@ impl MemStore {
                 rows: RowSlab::default(),
                 pending_old: Vec::new(),
                 monitors: HashMap::new(),
+                watched: vec![Vec::new()],
                 clock: 0,
                 live: 0,
                 tombs: 0,
@@ -649,6 +672,14 @@ impl MemStore {
         }
     }
 
+    /// Replaces the watch set's key prefixes (the empty prefix watches
+    /// every row, none watches only monitored rows). Rows already dirty
+    /// stay dirty until the next sweep; writes from now on follow the new
+    /// set.
+    pub fn set_watched(&self, prefixes: Vec<Vec<u8>>) {
+        self.inner.borrow_mut().watched = prefixes;
+    }
+
     /// Registers a monitor id directly on a key (Fig. 5's Monitors
     /// column). The row is created if absent, so monitors can watch keys
     /// that do not exist yet.
@@ -693,8 +724,8 @@ impl MemStore {
     }
 
     /// Sweeps the store for dirty rows (the trigger scanner's pass, paper
-    /// Sec. IV-C), clearing the Dirty column. Returns exactly the rows
-    /// dirtied since the previous sweep, in cell order, as snapshots, so
+    /// Sec. IV-C), clearing the Dirty column. Returns exactly the watched
+    /// rows dirtied since the previous sweep, in cell order, as snapshots, so
     /// filters and actions run outside the store. Costs the dirty rows, not
     /// the table: only pages with a Dirty bit set are read.
     pub fn scan_dirty(&self) -> Vec<DirtyRecord> {

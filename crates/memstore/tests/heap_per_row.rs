@@ -270,3 +270,26 @@ fn churn_on_one_page_without_a_sweep_keeps_the_dirty_page_list_bounded() {
     assert_eq!(store.footprint().slab_pages, 1);
     assert!(store.scan_dirty().is_empty());
 }
+
+#[test]
+fn overwriting_unwatched_rows_keeps_no_old_data() {
+    // Watching no prefix, unmonitored rows are unwatched: each overwrite
+    // drops the displaced versions at once instead of keeping them for a
+    // sweep that would only throw them away.
+    let (keys, values) = payload(ROWS);
+    let store = MemStore::new(StoreConfig::default());
+    store.set_watched(Vec::new());
+    for (i, (key, value)) in keys.iter().zip(&values).enumerate() {
+        store.write_latest(key, ts(i as u64 + 1, 0), value.clone());
+    }
+    let grown = heap_growth(|| {
+        for (i, (key, value)) in keys.iter().zip(&values).enumerate() {
+            store.write_latest(key, ts((ROWS + i) as u64 + 1, 0), value.clone());
+        }
+    });
+    assert!(
+        grown <= 0,
+        "{grown} heap bytes grown over {ROWS} overwrites"
+    );
+    assert!(store.scan_dirty().is_empty(), "an unwatched row went dirty");
+}

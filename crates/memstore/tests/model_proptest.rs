@@ -355,21 +355,43 @@ fn dirty_op_strategy() -> impl Strategy<Value = DirtyOp> {
 
 /// Reference model of the Dirty and Monitors columns: the versions of
 /// every row (the DVV model above), the pre-change versions of each dirty
-/// key, and each key's monitor ids in registration order.
-#[derive(Default)]
+/// key, each key's monitor ids in registration order, and the store's
+/// watch set (by default the empty prefix: every row).
 struct DirtyModel {
     rows: DvvModel,
     dirty: HashMap<u8, Vec<VersionedValue>>,
     monitors: HashMap<u8, Vec<u32>>,
+    watched: Vec<Vec<u8>>,
+}
+
+impl Default for DirtyModel {
+    fn default() -> Self {
+        DirtyModel {
+            rows: DvvModel::default(),
+            dirty: HashMap::new(),
+            monitors: HashMap::new(),
+            watched: vec![Vec::new()],
+        }
+    }
 }
 
 impl DirtyModel {
+    /// A write dirties a monitored key or one under a watched prefix.
+    fn is_watched(&self, key: u8) -> bool {
+        self.monitors.contains_key(&key)
+            || self
+                .watched
+                .iter()
+                .any(|prefix| key_of(key).as_bytes().starts_with(prefix))
+    }
+
     fn versions(&self, key: u8) -> Vec<VersionedValue> {
         self.rows.read_all(key).map(sorted).unwrap_or_default()
     }
 
     /// Applies a write through `apply`; a write that changed the versions
-    /// dirties the key, keeping the versions it had before the first one.
+    /// of a watched key dirties it, keeping the versions it had before the
+    /// first one. A key dirtied earlier stays dirty either way.
     fn write(
         &mut self,
         key: u8,
@@ -377,7 +399,7 @@ impl DirtyModel {
     ) -> WriteOutcome {
         let before = self.versions(key);
         let outcome = apply(&mut self.rows);
-        if self.versions(key) != before {
+        if self.versions(key) != before && self.is_watched(key) {
             self.dirty.entry(key).or_insert(before);
         }
         outcome
@@ -505,6 +527,137 @@ proptest! {
                     prop_assert!(!model.monitors.contains_key(&key), "evicted a monitored row");
                     model.drop_row(key);
                 }
+            }
+        }
+        check_sweep(&store, &mut model);
+    }
+}
+
+/// One step of the watch-set property: a Dirty-column op, or a new watch
+/// set — one prefix, the empty prefix (every row) or no prefix.
+#[derive(Clone, Debug)]
+enum WatchOp {
+    Op(DirtyOp),
+    Watch(Option<&'static str>),
+}
+
+/// Mostly Dirty-column ops, with a watch-set change one step in eight.
+fn watch_op_strategy() -> impl Strategy<Value = WatchOp> {
+    (0u8..16, dirty_op_strategy()).prop_map(|(pick, op)| match pick {
+        0 => WatchOp::Watch(None),
+        1 => WatchOp::Watch(Some("")),
+        // `key-1`, `key-10`..`key-19` and `key-100`..`key-159`.
+        2 => WatchOp::Watch(Some("key-1")),
+        _ => WatchOp::Op(op),
+    })
+}
+
+/// Applies one Dirty-column op to the store and the model, learning which
+/// rows eviction took.
+fn step(store: &MemStore, model: &mut DirtyModel, op: DirtyOp) {
+    let evictions = store.stats().evictions;
+    match op {
+        DirtyOp::WriteLatest {
+            key,
+            micros,
+            origin,
+        } => {
+            let (t, v) = (ts(micros, origin), val(micros, origin));
+            let got = store.write_latest(&key_of(key), t, v.clone());
+            prop_assert_eq!(got, model.write(key, |rows| rows.write_latest(key, t, v)));
+        }
+        DirtyOp::WriteAll {
+            key,
+            micros,
+            origin,
+        } => {
+            let (t, v) = (ts(micros, origin), val(micros, origin));
+            let got = store.write_all(&key_of(key), t, v.clone());
+            prop_assert_eq!(got, model.write(key, |rows| rows.write_all(key, t, v)));
+        }
+        DirtyOp::Merge {
+            key,
+            micros,
+            origin,
+        } => {
+            let incoming = vec![VersionedValue {
+                ts: ts(micros, origin),
+                value: val(micros, origin),
+            }];
+            store.merge_row(&key_of(key), &incoming, &CausalContext::EMPTY);
+            model.rows.merge(key, &incoming);
+        }
+        DirtyOp::Remove { key } => {
+            store.remove(&key_of(key));
+            model.drop_row(key);
+            model.monitors.remove(&key);
+        }
+        DirtyOp::RemoveMatching { digit } => {
+            let last = b'0' + digit;
+            store.remove_matching(|k| k.as_bytes().last() == Some(&last));
+            for key in (0..=u8::MAX).filter(|&key| key_of(key).as_bytes().last() == Some(&last)) {
+                model.drop_row(key);
+            }
+        }
+        DirtyOp::AddMonitor { key, monitor } => {
+            store.add_monitor(&key_of(key), monitor);
+            let ids = model.monitors.entry(key).or_default();
+            if !ids.contains(&monitor) {
+                ids.push(monitor);
+            }
+        }
+        DirtyOp::RemoveMonitor { key, monitor } => {
+            store.remove_monitor(&key_of(key), monitor);
+            if let Some(ids) = model.monitors.get_mut(&key) {
+                ids.retain(|&m| m != monitor);
+                if ids.is_empty() {
+                    model.monitors.remove(&key);
+                }
+            }
+        }
+        DirtyOp::Sweep => check_sweep(store, model),
+    }
+    if store.stats().evictions > evictions {
+        let gone: Vec<u8> = (0..=u8::MAX)
+            .filter(|&key| model.rows.read_all(key).is_some() && !store.contains(&key_of(key)))
+            .collect();
+        for key in gone {
+            prop_assert!(
+                !model.monitors.contains_key(&key),
+                "evicted a monitored row"
+            );
+            model.drop_row(key);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Only watched rows go dirty: with the watch set changing between
+    /// writes, merges, removals, monitor changes, eviction and sweeps,
+    /// every sweep returns exactly the rows the model dirtied — monitored
+    /// ones and those under a prefix watched when they were written.
+    #[test]
+    fn sweeps_follow_the_watch_set(
+        budgeted in 0u8..2,
+        preload in 0u8..160,
+        ops in proptest::collection::vec(watch_op_strategy(), 1..300),
+    ) {
+        let budget = (budgeted == 1).then_some(10_000);
+        let store = MemStore::new(StoreConfig { memory_budget: budget, ..StoreConfig::default() });
+        let mut model = DirtyModel::default();
+        for key in 0..preload {
+            step(&store, &mut model, DirtyOp::WriteLatest { key, micros: 1, origin: 0 });
+        }
+        for op in ops {
+            match op {
+                WatchOp::Watch(prefix) => {
+                    let prefixes: Vec<Vec<u8>> = prefix.map(|p| p.as_bytes().to_vec()).into_iter().collect();
+                    store.set_watched(prefixes.clone());
+                    model.watched = prefixes;
+                }
+                WatchOp::Op(op) => step(&store, &mut model, op),
             }
         }
         check_sweep(&store, &mut model);

@@ -6,9 +6,10 @@
 //! admin endpoint can serve percentiles and rates over the last N windows
 //! and stale data ages out instead of dominating forever.
 //!
-//! Both types are `Mutex`-protected plain state (no atomics): they record
-//! rare events (staleness detections, repair completions, periodic counter
-//! samples), never the per-op hot path.
+//! Both types are `Mutex`-protected plain state (no atomics). They are on
+//! the per-op path: the SLO `AlertEngine` records every completed client
+//! read and write into its windows, from whichever worker finished the op,
+//! so each record takes the window's lock.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;

@@ -56,19 +56,10 @@ pub struct ReadCoordinator {
     replicas: Vec<NodeId>,
     r: usize,
     /// Replies as ingested; `Values` lists are stored in canonical
-    /// (timestamp-sorted) form.
+    /// (timestamp-sorted) form, so equal lists compare equal.
     replies: BTreeMap<NodeId, ReplicaRead>,
-    /// Equality fingerprint per answered replica, computed once at
-    /// ingestion: [`MISSING_FP`] for Missing, no entry for Failed.
-    /// `evaluate` groups over these instead of re-canonicalizing every
-    /// reply on every call.
-    fps: BTreeMap<NodeId, Vec<u8>>,
     decided: Option<ReadOutcome>,
 }
-
-/// Fingerprint standing for "the key does not exist" (a real `Values`
-/// fingerprint is either empty or at least 20 bytes, so no collision).
-const MISSING_FP: [u8; 1] = [0xff];
 
 /// Canonical form of a version list for equality checks: sorted by
 /// timestamp (total order ⇒ deterministic).
@@ -86,28 +77,19 @@ impl ReadCoordinator {
             replicas,
             r,
             replies: BTreeMap::new(),
-            fps: BTreeMap::new(),
             decided: None,
         }
     }
 
-    /// Records a reply (first one per replica wins), canonicalizing and
-    /// fingerprinting `Values` lists exactly once.
+    /// Records a reply (first one per replica wins), canonicalizing
+    /// `Values` lists exactly once.
     fn ingest(&mut self, node: NodeId, reply: ReplicaRead) {
         if !self.replicas.contains(&node) || self.replies.contains_key(&node) {
             return;
         }
         let reply = match reply {
-            ReplicaRead::Values(v) => {
-                let canon = canonical(v);
-                self.fps.insert(node, fingerprint(&canon));
-                ReplicaRead::Values(canon)
-            }
-            ReplicaRead::Missing => {
-                self.fps.insert(node, MISSING_FP.to_vec());
-                ReplicaRead::Missing
-            }
-            ReplicaRead::Failed => ReplicaRead::Failed,
+            ReplicaRead::Values(v) => ReplicaRead::Values(canonical(v)),
+            other => other,
         };
         self.replies.insert(node, reply);
     }
@@ -174,42 +156,34 @@ impl ReadCoordinator {
         if let Some(done) = &self.decided {
             return done.clone();
         }
-        // Count equality groups over the cached fingerprints; Missing is
-        // its own group ("the key does not exist"). Nothing is sorted or
-        // cloned here — that happened once, at ingestion.
-        let mut groups: BTreeMap<&[u8], usize> = BTreeMap::new();
-        for fp in self.fps.values() {
-            *groups.entry(fp.as_slice()).or_insert(0) += 1;
-        }
-        let best_group = groups.values().copied().max().unwrap_or(0);
-        let winner: Option<Vec<u8>> = groups
-            .iter()
-            .find(|(_, &count)| count >= self.r)
-            .map(|(fp, _)| fp.to_vec());
-        if let Some(fp) = winner {
-            let verdict = if fp == MISSING_FP {
-                ReadOutcome::NotFound
-            } else {
-                let values = self
-                    .replies
-                    .iter()
-                    .find_map(|(n, r)| match (self.fps.get(n), r) {
-                        (Some(f), ReplicaRead::Values(v)) if *f == fp => Some(v.clone()),
-                        _ => None,
-                    })
-                    .expect("winning fingerprint came from a Values reply");
-                ReadOutcome::Ok(values)
-            };
-            self.decided = Some(verdict.clone());
-            return verdict;
+        // Group the answered replies by equality; Missing is its own group
+        // ("the key does not exist"). With N ≤ 3 that is at most nine
+        // comparisons. Every ingest is evaluated, so at most one group can
+        // have reached R.
+        let answered = || {
+            self.replies
+                .values()
+                .filter(|r| !matches!(r, ReplicaRead::Failed))
+        };
+        let mut best_group = 0;
+        for reply in answered() {
+            let size = answered().filter(|other| *other == reply).count();
+            if size >= self.r {
+                let verdict = match reply {
+                    ReplicaRead::Values(v) => ReadOutcome::Ok(v.clone()),
+                    _ => ReadOutcome::NotFound,
+                };
+                self.decided = Some(verdict.clone());
+                return verdict;
+            }
+            best_group = best_group.max(size);
         }
         let replied = self.replies.len();
         let outstanding = self.replicas.len() - replied;
         // Decide once R-equality is unreachable, everyone answered, or the
         // deadline forces a verdict.
         if best_group + outstanding < self.r || outstanding == 0 || force {
-            let answered = self.fps.len();
-            let verdict = if answered == 0 {
+            let verdict = if best_group == 0 {
                 ReadOutcome::Failed {
                     needed: self.r,
                     got: 0,
@@ -224,19 +198,6 @@ impl ReadCoordinator {
         }
         ReadOutcome::Pending
     }
-}
-
-/// Stable fingerprint of a canonical version list for grouping.
-fn fingerprint(values: &[VersionedValue]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * 24);
-    for v in values {
-        buf.extend_from_slice(&v.ts.micros.to_le_bytes());
-        buf.extend_from_slice(&v.ts.counter.to_le_bytes());
-        buf.extend_from_slice(&v.ts.origin.0.to_le_bytes());
-        buf.extend_from_slice(&(v.value.len() as u32).to_le_bytes());
-        buf.extend_from_slice(v.value.as_bytes());
-    }
-    buf
 }
 
 #[cfg(test)]

@@ -86,8 +86,9 @@ impl TriggerEngine {
     }
 
     /// Registers a job: exact-key hooks are written into the rows'
-    /// `Monitors` columns (Fig. 5); prefix hooks live in the engine.
-    /// `now` is the registration instant (starts the timeout clock).
+    /// `Monitors` columns (Fig. 5); table and dataset hooks join the
+    /// store's watch set. Only writes from now on fire it. `now` is the
+    /// registration instant (starts the timeout clock).
     pub fn register_job(&mut self, store: &MemStore, spec: JobSpec, now: Micros) -> JobId {
         let id = JobId(self.next_job);
         self.next_job += 1;
@@ -105,10 +106,12 @@ impl TriggerEngine {
             last_fired: HashMap::new(),
         };
         self.jobs.insert(id, runtime);
+        self.install_watch_set(store);
         id
     }
 
-    /// Unregisters a job and removes its row-column monitors.
+    /// Unregisters a job, removes its row-column monitors and drops its
+    /// prefixes from the store's watch set.
     pub fn unregister_job(&mut self, store: &MemStore, id: JobId) {
         let Some(runtime) = self.jobs.remove(&id) else {
             return;
@@ -127,6 +130,21 @@ impl TriggerEngine {
                 }
             }
         }
+        self.install_watch_set(store);
+    }
+
+    /// Makes the store's watch set the union of the registered jobs' table
+    /// and dataset prefixes: the rows a write must dirty beyond the
+    /// monitored ones. With no job, no write dirties a row.
+    pub fn install_watch_set(&self, store: &MemStore) {
+        let mut prefixes: Vec<Vec<u8>> = self
+            .jobs
+            .values()
+            .flat_map(|job| job.spec.inputs.iter().filter_map(MonitorScope::prefix))
+            .collect();
+        prefixes.sort_unstable();
+        prefixes.dedup();
+        store.set_watched(prefixes);
     }
 
     /// Number of live (non-expired) jobs.
@@ -143,12 +161,29 @@ impl TriggerEngine {
     /// appending the actions' writes to `out`.
     pub fn scan_once(&mut self, store: &MemStore, out: &mut Emits, now: Micros) -> ScanStats {
         let records = store.scan_dirty();
-        self.dispatch(&records, out, now)
+        self.dispatch(store, &records, out, now)
     }
 
-    /// Dispatches already-collected dirty records to matching jobs; every
-    /// accepted action writes into `out`, in dispatch order.
-    pub fn dispatch(&mut self, records: &[DirtyRecord], out: &mut Emits, now: Micros) -> ScanStats {
+    /// Dispatches already-collected dirty records of `store` to matching
+    /// jobs; every accepted action writes into `out`, in dispatch order.
+    /// Jobs past their timeout are unregistered first, so they fire
+    /// nothing and stop watching rows.
+    pub fn dispatch(
+        &mut self,
+        store: &MemStore,
+        records: &[DirtyRecord],
+        out: &mut Emits,
+        now: Micros,
+    ) -> ScanStats {
+        let expired: Vec<JobId> = self
+            .jobs
+            .iter()
+            .filter(|(_, job)| job.is_expired(now))
+            .map(|(id, _)| *id)
+            .collect();
+        for id in expired {
+            self.unregister_job(store, id);
+        }
         let mut stats = ScanStats {
             scanned: records.len() as u64,
             ..Default::default()
@@ -163,9 +198,6 @@ impl TriggerEngine {
         }
         for record in records {
             for job in self.jobs.values_mut() {
-                if job.is_expired(now) {
-                    continue;
-                }
                 if !job.spec.inputs.iter().any(|s| s.matches(&record.key)) {
                     continue;
                 }
@@ -377,7 +409,9 @@ mod tests {
         store.write_latest(&Key::from("k"), ts(1), Value::from("v"));
         store.write_latest(&Key::from("other"), ts(1), Value::from("v"));
         let stats = sweep(&mut engine, &store, &sink, 10);
-        assert_eq!(stats.scanned, 2);
+        // No job watches "other": the write kept no old data and the
+        // sweep never sees it.
+        assert_eq!(stats.scanned, 1);
         assert_eq!(stats.fired, 1);
         assert_eq!(fired.load(Ordering::Relaxed), 1);
     }

@@ -23,7 +23,10 @@
 //!   jobs, enforcing **flow control**: each job has a trigger interval and
 //!   changes to a key inside the interval are discarded ("it would be safe
 //!   to discard them as the most fresh data matters most", Sec. IV-B),
-//!   which is what tames the ripple effect of trigger circles.
+//!   which is what tames the ripple effect of trigger circles. It also
+//!   keeps the store's watch set equal to its jobs' table and dataset
+//!   scopes, so only rows some job watches go dirty, and a job fires for
+//!   writes made after it registered.
 //! * **The sweep** ([`engine::TriggerEngine::scan_once`]) — the paper's
 //!   scan of "the Dirty and Monitored fields sequentially" (Sec. IV-C),
 //!   run by the store's owner (a node drives it from a timer): a store

@@ -31,14 +31,21 @@ impl MonitorScope {
 
     /// True when a change to `key` falls inside this scope.
     pub fn matches(&self, key: &Key) -> bool {
+        match self.prefix() {
+            Some(prefix) => key.as_bytes().starts_with(&prefix),
+            None => self.exact_key() == Some(key),
+        }
+    }
+
+    /// The key prefix a table or dataset scope watches; `None` for an
+    /// exact key.
+    pub fn prefix(&self) -> Option<Vec<u8>> {
         match self {
-            MonitorScope::Key(k) => k == key,
-            MonitorScope::Table { dataset, table } => key
-                .as_bytes()
-                .starts_with(&KeyPath::prefix_for_table(dataset, table)),
-            MonitorScope::Dataset { dataset } => key
-                .as_bytes()
-                .starts_with(&KeyPath::prefix_for_dataset(dataset)),
+            MonitorScope::Key(_) => None,
+            MonitorScope::Table { dataset, table } => {
+                Some(KeyPath::prefix_for_table(dataset, table))
+            }
+            MonitorScope::Dataset { dataset } => Some(KeyPath::prefix_for_dataset(dataset)),
         }
     }
 
