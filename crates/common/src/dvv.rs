@@ -33,19 +33,34 @@ pub fn dot_seq(ts: &Timestamp) -> DotSeq {
 
 /// A causal context / version vector over HLC dots.
 ///
-/// Stored as a vector of `(actor, seq)` entries sorted by actor so that
-/// joins are linear merges and equality is structural. Empty contexts are
-/// allocation-free, which keeps the common "no causal history" write cheap.
+/// Entries are kept sorted by actor so that joins are linear merges and
+/// equality is structural. The context of a key one writer has touched is
+/// a single dot, so it has three shapes, all 24 bytes: no entry, one entry
+/// inline, or two or more entries in a `Vec`. The shape is a function of the
+/// entry count (`Many` never holds fewer than two), so the derived `Eq` and
+/// `Hash` still compare entries, and a context allocates only once a second
+/// actor joins it.
 #[derive(Clone, Default, PartialEq, Eq, Hash)]
 pub struct CausalContext {
-    entries: Vec<(NodeId, DotSeq)>,
+    dots: Dots,
 }
+
+#[derive(Clone, Default, PartialEq, Eq, Hash)]
+enum Dots {
+    #[default]
+    Empty,
+    /// `(actor, counter, micros)`: one entry, flattened so that it fits
+    /// beside the `Vec`'s capacity niche.
+    One(NodeId, u32, Micros),
+    /// Two or more entries, sorted by actor.
+    Many(Vec<(NodeId, DotSeq)>),
+}
+
+const _: () = assert!(std::mem::size_of::<CausalContext>() == 24);
 
 impl CausalContext {
     /// The empty context: has witnessed nothing, covers nothing.
-    pub const EMPTY: CausalContext = CausalContext {
-        entries: Vec::new(),
-    };
+    pub const EMPTY: CausalContext = CausalContext { dots: Dots::Empty };
 
     pub fn new() -> CausalContext {
         CausalContext::EMPTY
@@ -61,24 +76,37 @@ impl CausalContext {
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        matches!(self.dots, Dots::Empty)
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        match &self.dots {
+            Dots::Empty => 0,
+            Dots::One(..) => 1,
+            Dots::Many(entries) => entries.len(),
+        }
     }
 
     /// Iterate `(actor, (micros, counter))` entries in actor order.
     pub fn entries(&self) -> impl Iterator<Item = (NodeId, DotSeq)> + '_ {
-        self.entries.iter().copied()
+        let (one, many) = match &self.dots {
+            Dots::Empty => (None, &[][..]),
+            &Dots::One(actor, counter, micros) => (Some((actor, (micros, counter))), &[][..]),
+            Dots::Many(entries) => (None, &entries[..]),
+        };
+        one.into_iter().chain(many.iter().copied())
     }
 
     /// The greatest sequence witnessed for `actor`, if any.
     pub fn seq_of(&self, actor: NodeId) -> Option<DotSeq> {
-        self.entries
-            .binary_search_by_key(&actor, |e| e.0)
-            .ok()
-            .map(|i| self.entries[i].1)
+        match &self.dots {
+            Dots::Empty => None,
+            &Dots::One(a, counter, micros) => (a == actor).then_some((micros, counter)),
+            Dots::Many(entries) => entries
+                .binary_search_by_key(&actor, |e| e.0)
+                .ok()
+                .map(|i| entries[i].1),
+        }
     }
 
     /// Does this context contain (causally cover) the given dot?
@@ -94,20 +122,39 @@ impl CausalContext {
 
     /// Insert a raw `(actor, seq)` entry (used by decoders).
     pub fn observe_seq(&mut self, actor: NodeId, seq: DotSeq) {
-        match self.entries.binary_search_by_key(&actor, |e| e.0) {
-            Ok(i) => {
-                if self.entries[i].1 < seq {
-                    self.entries[i].1 = seq;
+        match &mut self.dots {
+            Dots::Empty => self.dots = Dots::One(actor, seq.1, seq.0),
+            Dots::One(a, counter, micros) => {
+                if *a == actor {
+                    if (*micros, *counter) < seq {
+                        (*micros, *counter) = seq;
+                    }
+                } else {
+                    // The second actor: exactly two entries, no slack.
+                    let mine = (*a, (*micros, *counter));
+                    let mut entries = Vec::with_capacity(2);
+                    if mine.0 < actor {
+                        entries.extend([mine, (actor, seq)]);
+                    } else {
+                        entries.extend([(actor, seq), mine]);
+                    }
+                    self.dots = Dots::Many(entries);
                 }
             }
-            Err(i) => {
-                // Grow by exactly one entry: a context holds one entry per
-                // writer of the key, so the usual doubling (room for four
-                // on the first insert) is slack that a session map of
-                // one-writer contexts would pay for on every key.
-                self.entries.reserve_exact(1);
-                self.entries.insert(i, (actor, seq));
-            }
+            Dots::Many(entries) => match entries.binary_search_by_key(&actor, |e| e.0) {
+                Ok(i) => {
+                    if entries[i].1 < seq {
+                        entries[i].1 = seq;
+                    }
+                }
+                Err(i) => {
+                    // Grow by exactly one entry: a context holds one entry
+                    // per writer of the key, so the usual doubling is slack
+                    // that every stored context would pay for.
+                    entries.reserve_exact(1);
+                    entries.insert(i, (actor, seq));
+                }
+            },
         }
     }
 
@@ -115,33 +162,37 @@ impl CausalContext {
     /// input covered. Commutative, associative, idempotent (property-tested
     /// in `tests/dvv_proptest.rs`).
     pub fn join(&mut self, other: &CausalContext) {
-        if other.entries.is_empty() {
-            return;
-        }
-        if self.entries.is_empty() {
-            self.entries = other.entries.clone();
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.entries.len().max(other.entries.len()));
-        let (mut i, mut j) = (0, 0);
-        while i < self.entries.len() && j < other.entries.len() {
-            let (a, asq) = self.entries[i];
-            let (b, bsq) = other.entries[j];
-            if a < b {
-                merged.push((a, asq));
-                i += 1;
-            } else if b < a {
-                merged.push((b, bsq));
-                j += 1;
-            } else {
-                merged.push((a, asq.max(bsq)));
-                i += 1;
-                j += 1;
+        match (&self.dots, &other.dots) {
+            (_, Dots::Empty) => {}
+            (Dots::Empty, _) => *self = other.clone(),
+            (_, &Dots::One(actor, counter, micros)) => self.observe_seq(actor, (micros, counter)),
+            (Dots::One(..), Dots::Many(_)) => {
+                let mine = std::mem::replace(self, other.clone());
+                self.join(&mine);
+            }
+            (Dots::Many(mine), Dots::Many(theirs)) => {
+                let mut merged = Vec::with_capacity(mine.len().max(theirs.len()));
+                let (mut i, mut j) = (0, 0);
+                while i < mine.len() && j < theirs.len() {
+                    let (a, asq) = mine[i];
+                    let (b, bsq) = theirs[j];
+                    if a < b {
+                        merged.push((a, asq));
+                        i += 1;
+                    } else if b < a {
+                        merged.push((b, bsq));
+                        j += 1;
+                    } else {
+                        merged.push((a, asq.max(bsq)));
+                        i += 1;
+                        j += 1;
+                    }
+                }
+                merged.extend_from_slice(&mine[i..]);
+                merged.extend_from_slice(&theirs[j..]);
+                self.dots = Dots::Many(merged);
             }
         }
-        merged.extend_from_slice(&self.entries[i..]);
-        merged.extend_from_slice(&other.entries[j..]);
-        self.entries = merged;
     }
 
     /// `join` without mutating either input.

@@ -85,13 +85,14 @@ impl QuorumWriter {
     /// Starts a write of `(key, ts, value)` to `replicas`, needing `w`
     /// acks by `deadline`. `ctx` is the causal context the writer has
     /// observed for this key (empty when unknown — e.g. trigger emits).
-    /// Returns the messages to send.
+    /// The replica list moves into the write's coordinator. Returns the
+    /// messages to send.
     #[allow(clippy::too_many_arguments)]
     pub fn begin(
         &mut self,
         cfg: &ClusterConfig,
         op_id: u64,
-        replicas: &[NodeId],
+        replicas: Vec<NodeId>,
         w: usize,
         key: &Key,
         ts: Timestamp,
@@ -103,16 +104,7 @@ impl QuorumWriter {
     ) -> ReplicaOutbox {
         self.next_req += 1;
         let req = RequestId(self.next_req);
-        self.pending.insert(
-            req,
-            PendingWrite {
-                op_id,
-                coord: WriteCoordinator::new(replicas.to_vec(), w.min(replicas.len()).max(1)),
-                deadline,
-                trace,
-            },
-        );
-        replicas
+        let out = replicas
             .iter()
             .map(|&n| {
                 (
@@ -128,7 +120,18 @@ impl QuorumWriter {
                     },
                 )
             })
-            .collect()
+            .collect();
+        let w = w.min(replicas.len()).max(1);
+        self.pending.insert(
+            req,
+            PendingWrite {
+                op_id,
+                coord: WriteCoordinator::new(replicas, w),
+                deadline,
+                trace,
+            },
+        );
+        out
     }
 
     /// Trace of the in-flight write keyed by `req` (None once decided).
@@ -278,12 +281,13 @@ impl QuorumReader {
     /// so a clean answer is downgraded to `degraded` unless the agreeing
     /// replicas' joined row clock covers the floor: every dot the session
     /// knows is then either live in the answer or causally overwritten.
+    /// The replica list moves into the read's coordinator.
     #[allow(clippy::too_many_arguments)]
     pub fn begin(
         &mut self,
         cfg: &ClusterConfig,
         op_id: u64,
-        replicas: &[NodeId],
+        replicas: Vec<NodeId>,
         r: usize,
         key: &Key,
         kind: ReadKind,
@@ -293,20 +297,7 @@ impl QuorumReader {
     ) -> ReplicaOutbox {
         self.next_req += 1;
         let req = RequestId(self.next_req);
-        self.pending.insert(
-            req,
-            PendingRead {
-                op_id,
-                kind,
-                key: key.clone(),
-                coord: ReadCoordinator::new(replicas.to_vec(), r.min(replicas.len()).max(1)),
-                deadline,
-                trace,
-                floor,
-                clocks: HashMap::new(),
-            },
-        );
-        replicas
+        let out = replicas
             .iter()
             .map(|&n| {
                 (
@@ -318,7 +309,22 @@ impl QuorumReader {
                     },
                 )
             })
-            .collect()
+            .collect();
+        let r = r.min(replicas.len()).max(1);
+        self.pending.insert(
+            req,
+            PendingRead {
+                op_id,
+                kind,
+                key: key.clone(),
+                coord: ReadCoordinator::new(replicas, r),
+                deadline,
+                trace,
+                floor,
+                clocks: HashMap::new(),
+            },
+        );
+        out
     }
 
     /// Trace of the in-flight read keyed by `req` (None once decided).
@@ -1110,13 +1116,21 @@ impl ClientCore {
         self.history = Some(sink);
     }
 
-    fn record_invoke(&self, op_id: u64, trace: TraceId, op: crate::history::HistoryOp, at: Micros) {
+    /// Records an `Invoke`; `op` builds the event only when a sink is
+    /// attached, so an op without one clones nothing.
+    fn record_invoke(
+        &self,
+        op_id: u64,
+        trace: TraceId,
+        op: impl FnOnce() -> crate::history::HistoryOp,
+        at: Micros,
+    ) {
         if let Some(h) = &self.history {
             h.push(crate::history::HistoryEvent::Invoke {
                 client: self.origin,
                 op_id,
                 trace,
-                op,
+                op: op(),
                 at,
             });
         }
@@ -1366,11 +1380,11 @@ impl ClientCore {
         let ts = self.next_timestamp(now);
         let ctx = self.ctx_of(key);
         let deadline = now + self.cfg.request_deadline_micros;
-        let trace = self.obs.tracker.begin(now);
+        let trace = self.obs.tracker.begin(now, replicas.len());
         self.record_invoke(
             op_id,
             trace,
-            crate::history::HistoryOp::Write {
+            || crate::history::HistoryOp::Write {
                 key: key.clone(),
                 ts,
                 ctx: ctx.clone(),
@@ -1380,7 +1394,7 @@ impl ClientCore {
         let raw = self.writer.begin(
             &self.cfg,
             op_id,
-            &replicas,
+            replicas,
             self.cfg.quorum.w,
             key,
             ts,
@@ -1415,12 +1429,12 @@ impl ClientCore {
         let group_id = self.next_op;
         let deadline = now + self.cfg.request_deadline_micros;
         let mut raw = ReplicaOutbox::new();
-        for (idx, ((key, value), replicas)) in pairs.iter().zip(&routes).enumerate() {
+        for (idx, ((key, value), replicas)) in pairs.iter().zip(routes).enumerate() {
             self.next_op += 1;
             let child = self.next_op;
             let ts = self.next_timestamp(now);
             let ctx = self.ctx_of(key);
-            let trace = self.obs.tracker.begin(now);
+            let trace = self.obs.tracker.begin(now, replicas.len());
             let child_raw = self.writer.begin(
                 &self.cfg,
                 child,
@@ -1462,10 +1476,10 @@ impl ClientCore {
         let group_id = self.next_op;
         let deadline = now + self.cfg.request_deadline_micros;
         let mut raw = ReplicaOutbox::new();
-        for (idx, (key, replicas)) in keys.iter().zip(&routes).enumerate() {
+        for (idx, (key, replicas)) in keys.iter().zip(routes).enumerate() {
             self.next_op += 1;
             let child = self.next_op;
-            let trace = self.obs.tracker.begin(now);
+            let trace = self.obs.tracker.begin(now, replicas.len());
             let floor = self.ctx_of(key);
             let child_raw = self.reader.begin(
                 &self.cfg,
@@ -1529,18 +1543,18 @@ impl ClientCore {
         self.next_op += 1;
         let op_id = self.next_op;
         let deadline = now + self.cfg.request_deadline_micros;
-        let trace = self.obs.tracker.begin(now);
+        let trace = self.obs.tracker.begin(now, replicas.len());
         self.record_invoke(
             op_id,
             trace,
-            crate::history::HistoryOp::Read { key: key.clone() },
+            || crate::history::HistoryOp::Read { key: key.clone() },
             now,
         );
         let floor = self.ctx_of(key);
         let raw = self.reader.begin(
             &self.cfg,
             op_id,
-            &replicas,
+            replicas,
             self.cfg.quorum.r,
             key,
             kind,
@@ -1876,7 +1890,7 @@ mod tests {
         let out = w.begin(
             &cfg,
             1,
-            &replicas,
+            replicas,
             2,
             &Key::from("k"),
             Timestamp::new(1, 0, NodeId(1_000)),
@@ -1906,7 +1920,7 @@ mod tests {
         w.begin(
             &cfg,
             7,
-            &[NodeId(0), NodeId(1), NodeId(2)],
+            vec![NodeId(0), NodeId(1), NodeId(2)],
             2,
             &Key::from("k"),
             Timestamp::ZERO,
@@ -1933,7 +1947,7 @@ mod tests {
         let out = r.begin(
             &cfg,
             3,
-            &[NodeId(0), NodeId(1), NodeId(2)],
+            vec![NodeId(0), NodeId(1), NodeId(2)],
             2,
             &Key::from("k"),
             ReadKind::Latest,
@@ -2004,7 +2018,7 @@ mod tests {
         let out = r.begin(
             &cfg,
             4,
-            &[NodeId(0), NodeId(1), NodeId(2)],
+            vec![NodeId(0), NodeId(1), NodeId(2)],
             2,
             &Key::from("k"),
             ReadKind::Latest,

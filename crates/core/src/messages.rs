@@ -353,6 +353,7 @@ pub enum ClientFrame {
 // every `Vec<ReplicaOp>` batch) into another allocator size class, which
 // has moved end-to-end throughput before. Change this only on purpose.
 const _: () = assert!(std::mem::size_of::<ReplicaOp>() == 96);
+const _: () = assert!(std::mem::size_of::<SednaMsg>() == 128);
 
 /// The composed runtime message.
 #[derive(Debug)]

@@ -1346,7 +1346,7 @@ impl SednaNode {
                 for (to, rop) in self.emit_writer.begin(
                     &self.cfg,
                     op,
-                    &replicas,
+                    replicas,
                     w,
                     &key,
                     ts,

@@ -10,11 +10,10 @@
 //!   `write_latest`, which needs no distributed lock).
 //! * **Value lists** — `write_all` keeps one element per *source* server,
 //!   compared and replaced per-source (Sec. III-F).
-//! * **`Dirty` and `Monitors` columns** — the Dirty column is a bitmap over
-//!   the row slab (one `u64` per 64-row page, plus the list of pages with a
-//!   bit set), and every row carries a monitored flag; the pre-change value
-//!   snapshot of a dirty row and the monitor ids watching a monitored one
-//!   sit in side tables. Only *watched* rows go dirty: monitored ones and
+//! * **`Dirty` and `Monitors` columns** — both are bitmaps over the row
+//!   slab (one `u64` each per 64-row page; the Dirty column also lists the
+//!   pages with a bit set); the pre-change value snapshot of a dirty row
+//!   and the monitor ids watching a monitored one sit in side tables. Only *watched* rows go dirty: monitored ones and
 //!   those under a prefix of the store's watch set, which the trigger
 //!   engine keeps equal to its jobs' table and dataset scopes. The
 //!   trigger subsystem's sweep collects them (Sec. IV-C, Fig. 5) at a
@@ -29,7 +28,8 @@
 //!   memory model.)
 //! * **LRU eviction with memory accounting** — memcached semantics: when a
 //!   configured budget is exceeded, least-recently-used unmonitored rows
-//!   are evicted. The LRU touch is a per-row clock stamp.
+//!   are evicted. The LRU touch is a per-row `u32` clock stamp, compared
+//!   by wrapping age.
 //!
 //! [`Timestamp`]: sedna_common::Timestamp
 //!

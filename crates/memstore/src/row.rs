@@ -1,22 +1,23 @@
 //! Slab-allocated rows.
 //!
-//! A [`Row`] is the physical record behind one key: the interned key and
-//! its hash, the current versions as a [`RowSnapshot`], the LRU stamp, and
-//! a flag for Fig. 5's Monitors column. The column data itself — the
-//! pre-change snapshot of a dirty row and the monitor ids of a monitored
-//! one — lives in the store's side tables, because at any moment only a few
-//! rows have any. All of it is plain data: the store that owns the slab is
-//! the only thing that ever touches a row.
+//! A [`Row`] is the physical record behind one key, in one 64-byte cell:
+//! the interned key and its hash, the current versions as a
+//! [`RowSnapshot`], the LRU stamp and a link to its old data. The column
+//! data itself — the pre-change snapshot of a dirty row and the monitor ids
+//! of a monitored one — lives in the store's side tables, because at any
+//! moment only a few rows have any. All of it is plain data: the store that
+//! owns the slab is the only thing that ever touches a row.
 //!
 //! Rows live in a [`RowSlab`]: fixed-size pages of cells with a free list,
 //! memcached's slab idea. The index refers to a row by its cell number, a
 //! removed row's cell goes straight back on the free list, and pages are
 //! reused, not returned to the allocator, so churn does not pound `malloc`.
 //!
-//! Fig. 5's Dirty column is the slab's too: one bit per cell, a `u64` mask
-//! per page, plus the list of pages whose mask went non-zero since the last
-//! sweep. A sweep reads only those pages' set bits, so it costs the dirty
-//! rows, not the table.
+//! Fig. 5's Dirty and Monitors columns are the slab's too: one bit per cell
+//! each, a `u64` mask per page. The Dirty column also keeps the list of
+//! pages whose mask went non-zero since the last sweep, so a sweep reads
+//! only those pages' set bits and costs the dirty rows, not the table. The
+//! Monitors bit says the row's monitor ids are in the store's map.
 
 use sedna_common::Key;
 
@@ -27,30 +28,33 @@ pub(crate) struct Row {
     pub key: Key,
     /// Mixed hash of the key (its top bits pick the home slot).
     pub hash: u64,
-    /// LRU stamp: the store clock value of the last touch.
-    pub stamp: u64,
     /// Current versions; replaced whole, never edited, so a snapshot
     /// handed to a reader keeps the value it saw.
     pub snap: RowSnapshot,
+    /// LRU stamp: the store clock value of the last touch. The clock wraps
+    /// at `u32::MAX`, so stamps are compared by wrapping age.
+    pub stamp: u32,
     /// 1-based position of this row's pre-change snapshot in the store's
     /// `pending_old`; 0 when it has none (clean, or dirty since it was new).
     pub old: u32,
-    /// Monitors column is non-empty (the ids are in the store's map).
-    pub monitored: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<Option<Row>>() <= 80);
+const _: () = assert!(std::mem::size_of::<Option<Row>>() == 64);
 
-/// Rows per slab page: one Dirty bit each in the page's `u64` mask.
+/// Rows per slab page: one Dirty and one Monitors bit each in the page's
+/// `u64` masks. A page of cells is exactly 4 KiB.
 pub(crate) const PAGE: usize = 64;
 
 const _: () = assert!(PAGE == u64::BITS as usize);
 
-/// One slab page: its cells and their Dirty column.
+/// One slab page: its cells and their Dirty and Monitors columns.
 struct Page {
     cells: Box<[Option<Row>]>,
     /// Dirty column of the page's cells: bit `cell % PAGE`.
     dirty: u64,
+    /// Monitors column of the page's cells: the bit is set when the row's
+    /// monitor ids are in the store's map.
+    monitored: u64,
     /// The page is on `RowSlab::dirty_pages`.
     listed: bool,
 }
@@ -87,6 +91,7 @@ impl RowSlab {
                 self.pages.push(Page {
                     cells: (0..PAGE).map(|_| None).collect(),
                     dirty: 0,
+                    monitored: 0,
                     listed: false,
                 });
                 self.free.extend((1..PAGE as u32).rev().map(|i| base + i));
@@ -97,10 +102,11 @@ impl RowSlab {
         idx
     }
 
-    /// Takes the row out of cell `idx`, clears its Dirty bit and recycles
-    /// the cell.
+    /// Takes the row out of cell `idx`, clears its Dirty and Monitors bits
+    /// and recycles the cell.
     pub fn release(&mut self, idx: u32) -> Row {
         self.clear_dirty(idx);
+        self.set_monitored(idx, false);
         let row = self.pages[idx as usize / PAGE].cells[idx as usize % PAGE]
             .take()
             .expect("released cell holds a row");
@@ -150,10 +156,27 @@ impl RowSlab {
         self.pages[idx as usize / PAGE].dirty &= !bit(idx);
     }
 
-    /// The sweep: visits every dirty row with its cell number, in cell
-    /// order, and clears the whole Dirty column. Reads only the listed
-    /// pages.
-    pub fn drain_dirty(&mut self, mut f: impl FnMut(u32, &mut Row)) {
+    /// True when the row in cell `idx` has monitors.
+    #[inline]
+    pub fn is_monitored(&self, idx: u32) -> bool {
+        self.pages[idx as usize / PAGE].monitored & bit(idx) != 0
+    }
+
+    /// Sets or clears the Monitors bit of the row in cell `idx`.
+    #[inline]
+    pub fn set_monitored(&mut self, idx: u32, on: bool) {
+        let page = &mut self.pages[idx as usize / PAGE];
+        if on {
+            page.monitored |= bit(idx);
+        } else {
+            page.monitored &= !bit(idx);
+        }
+    }
+
+    /// The sweep: visits every dirty row with its cell number and Monitors
+    /// bit, in cell order, and clears the whole Dirty column. Reads only the
+    /// listed pages.
+    pub fn drain_dirty(&mut self, mut f: impl FnMut(u32, &mut Row, bool)) {
         self.dirty_pages.sort_unstable();
         for &n in &self.dirty_pages {
             let page = &mut self.pages[n as usize];
@@ -162,10 +185,11 @@ impl RowSlab {
             while mask != 0 {
                 let i = mask.trailing_zeros();
                 mask &= mask - 1;
+                let monitored = page.monitored & (1 << i) != 0;
                 let row = page.cells[i as usize]
                     .as_mut()
                     .expect("dirty cell holds a row");
-                f(n * PAGE as u32 + i, row);
+                f(n * PAGE as u32 + i, row, monitored);
             }
         }
         self.dirty_pages.clear();
@@ -195,10 +219,9 @@ mod tests {
         Row {
             key: Key::from(name.to_string()),
             hash: 7,
-            stamp: 0,
             snap: versions(1, "v"),
+            stamp: 0,
             old: 0,
-            monitored: false,
         }
     }
 

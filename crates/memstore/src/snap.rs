@@ -6,15 +6,19 @@
 //! and the trigger scanner's pre-change snapshot (`pending_old`) is simply
 //! whatever the row held, moved out in O(1).
 //!
-//! The snapshot is a 40-byte enum with three shapes:
+//! The snapshot is a 32-byte enum with two shapes:
 //!
-//! * [`Repr::Empty`] — a row with no data; no allocation.
 //! * [`Repr::One`] — exactly one version with an implicit clock, which is
 //!   `write_latest`'s steady state under one writer. The version sits inline,
 //!   so writing it allocates nothing and cloning it is one `Value` refcount
 //!   bump.
-//! * [`Repr::Shared`] — two or more versions, or any row that carries an
-//!   explicit clock, behind an [`Arc`] so clones stay O(1).
+//! * [`Repr::Shared`] — `None` for a row with no data (no allocation), or
+//!   two or more versions, or any row that carries an explicit clock, behind
+//!   an [`Arc`] so clones stay O(1).
+//!
+//! Two variants, not three, is what keeps the enum at 32 bytes: the tag
+//! lives in the inline `Value`'s non-null pointer niche, and `Shared`'s one
+//! pointer sits beside it.
 //!
 //! Since the dotted-version-vector upgrade the snapshot also carries the
 //! **row clock**: a [`CausalContext`] covering every dot the row has ever
@@ -61,13 +65,20 @@ impl SnapRepr {
     }
 }
 
-#[derive(Clone, Default)]
+#[derive(Clone)]
 enum Repr {
-    #[default]
-    Empty,
     One(VersionedValue),
-    Shared(Arc<SnapRepr>),
+    /// `None` is the empty row.
+    Shared(Option<Arc<SnapRepr>>),
 }
+
+impl Default for Repr {
+    fn default() -> Repr {
+        Repr::Shared(None)
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<RowSnapshot>() == 32);
 
 /// An immutable, cheaply clonable view of a row's version list at some
 /// moment. Derefs to `[VersionedValue]`; `clone()` never deep-copies a
@@ -89,7 +100,7 @@ fn adds_to(clock: &CausalContext, vals: &[VersionedValue]) -> bool {
 impl RowSnapshot {
     /// The empty snapshot (a row with no data).
     pub fn empty() -> RowSnapshot {
-        RowSnapshot(Repr::Empty)
+        RowSnapshot(Repr::Shared(None))
     }
 
     /// Builds a snapshot from an owned version list with an implicit clock
@@ -108,10 +119,10 @@ impl RowSnapshot {
             1 => RowSnapshot::single(v.pop().expect("len checked"), clock),
             _ => {
                 let extra_clock = clock.filter(|c| adds_to(c, &v));
-                RowSnapshot(Repr::Shared(Arc::new(SnapRepr {
+                RowSnapshot(Repr::Shared(Some(Arc::new(SnapRepr {
                     vals: Vals::Many(v.into_boxed_slice()),
                     extra_clock,
-                })))
+                }))))
             }
         }
     }
@@ -121,10 +132,10 @@ impl RowSnapshot {
     pub(crate) fn single(v: VersionedValue, clock: Option<CausalContext>) -> RowSnapshot {
         match clock.filter(|c| adds_to(c, std::slice::from_ref(&v))) {
             None => RowSnapshot(Repr::One(v)),
-            extra_clock => RowSnapshot(Repr::Shared(Arc::new(SnapRepr {
+            extra_clock => RowSnapshot(Repr::Shared(Some(Arc::new(SnapRepr {
                 vals: Vals::One(v),
                 extra_clock,
-            }))),
+            })))),
         }
     }
 
@@ -132,9 +143,9 @@ impl RowSnapshot {
     #[inline]
     pub fn as_slice(&self) -> &[VersionedValue] {
         match &self.0 {
-            Repr::Empty => &[],
             Repr::One(v) => std::slice::from_ref(v),
-            Repr::Shared(r) => r.as_slice(),
+            Repr::Shared(None) => &[],
+            Repr::Shared(Some(r)) => r.as_slice(),
         }
     }
 
@@ -161,8 +172,8 @@ impl RowSnapshot {
     /// The explicit clock, if this row carries one beyond its live dots.
     pub(crate) fn extra_clock(&self) -> Option<&CausalContext> {
         match &self.0 {
-            Repr::Shared(r) => r.extra_clock.as_ref(),
-            Repr::Empty | Repr::One(_) => None,
+            Repr::Shared(Some(r)) => r.extra_clock.as_ref(),
+            Repr::One(_) | Repr::Shared(None) => None,
         }
     }
 }
@@ -257,7 +268,7 @@ mod tests {
         clock.observe(&Timestamp::new(1, 0, NodeId(0)));
         clock.observe(&Timestamp::new(9, 0, NodeId(7)));
         let pruned = RowSnapshot::single(vv(1, 0, "a"), Some(clock.clone()));
-        assert!(matches!(pruned.0, Repr::Shared(_)));
+        assert!(matches!(pruned.0, Repr::Shared(Some(_))));
         assert_eq!(pruned.clock(), clock);
         assert_ne!(pruned, RowSnapshot::from_vec(vec![vv(1, 0, "a")]));
     }

@@ -168,13 +168,15 @@ struct Inner {
     /// so the write and the sweep reach an entry without hashing.
     pending_old: Vec<(u32, RowSnapshot)>,
     /// Fig. 5's Monitors column, keyed by cell: exactly the rows whose
-    /// `monitored` flag is set.
+    /// Monitors bit is set in the slab.
     monitors: HashMap<u32, Vec<u32>>,
     /// The watch set's key prefixes: a write dirties a row, and keeps its
     /// old data, only when the row is monitored or its key starts with one.
     watched: Vec<Vec<u8>>,
-    /// LRU clock; every touch stamps the row with the next value.
-    clock: u64,
+    /// LRU clock; every touch stamps the row with the next value. It wraps
+    /// at `u32::MAX`: eviction compares stamps by their wrapping age, which
+    /// is exact while no row goes untouched for 2³² touches.
+    clock: u32,
     /// Live rows in the table (including data-less monitor rows).
     live: usize,
     /// Tombstoned slots (cleared on rehash).
@@ -229,11 +231,18 @@ impl Inner {
         found
     }
 
+    /// Advances the LRU clock and returns the new stamp.
+    #[inline]
+    fn tick(&mut self) -> u32 {
+        self.clock = self.clock.wrapping_add(1);
+        self.clock
+    }
+
     /// Stamps a row as just-touched.
     #[inline]
     fn touch(&mut self, idx: u32) {
-        self.clock += 1;
-        self.rows.get_mut(idx).stamp = self.clock;
+        let stamp = self.tick();
+        self.rows.get_mut(idx).stamp = stamp;
     }
 
     /// Swaps a row's versions, keeping the byte and row counts in step;
@@ -292,16 +301,15 @@ impl Inner {
                     unreachable!("write into empty row must replace");
                 };
                 self.engine.sibling_set.record(snap.as_slice().len() as u64);
-                self.clock += 1;
+                let stamp = self.tick();
                 let idx = self.insert_row(
                     ii,
                     Row {
                         key: key.clone(),
                         hash: h,
-                        stamp: self.clock,
                         snap,
+                        stamp,
                         old: 0,
-                        monitored: false,
                     },
                 );
                 if self.is_watched(idx) {
@@ -327,12 +335,10 @@ impl Inner {
     /// True when a write to the row in cell `idx` must dirty it.
     #[inline]
     fn is_watched(&self, idx: u32) -> bool {
-        let row = self.rows.get(idx);
-        row.monitored
-            || self
-                .watched
-                .iter()
-                .any(|prefix| row.key.as_bytes().starts_with(prefix))
+        self.rows.is_monitored(idx) || {
+            let key = self.rows.get(idx).key.as_bytes();
+            self.watched.iter().any(|prefix| key.starts_with(prefix))
+        }
     }
 
     /// Inserts a fresh row at the vacant slot `ii` its probe found,
@@ -372,11 +378,11 @@ impl Inner {
         self.table.erase(ii);
         self.live -= 1;
         self.tombs += 1;
-        let row = self.rows.release(idx);
-        self.drop_pending_old(row.old);
-        if row.monitored {
+        if self.rows.is_monitored(idx) {
             self.monitors.remove(&idx);
         }
+        let row = self.rows.release(idx);
+        self.drop_pending_old(row.old);
         self.payload_bytes -= row_cost(&row);
         self.data_rows -= usize::from(!row.snap.is_empty());
         row
@@ -400,11 +406,10 @@ impl Inner {
     fn read_snapshot(&mut self, key: &Key) -> Option<RowSnapshot> {
         let mut found = None;
         if let Locate::Found(_, idx) = self.locate(hash_of(key), key) {
-            let row = self.rows.get_mut(idx);
+            let row = self.rows.get(idx);
             if !row.snap.is_empty() {
                 found = Some(row.snap.clone());
-                self.clock += 1;
-                row.stamp = self.clock;
+                self.touch(idx);
             }
         }
         self.count_read(found.is_some());
@@ -419,10 +424,11 @@ impl Inner {
         }
     }
 
-    /// Evicts lowest-stamp unmonitored rows until the store fits its
-    /// budget. Samples up to [`EVICT_SAMPLE`] live rows per round from a
-    /// roving cursor — exact LRU for stores at or below the sample size,
-    /// memcached-style approximation beyond it.
+    /// Evicts least-recently-touched unmonitored rows (greatest wrapping
+    /// age of the stamp) until the store fits its budget. Samples up to
+    /// [`EVICT_SAMPLE`] live rows per round from a roving cursor — exact
+    /// LRU for stores at or below the sample size, memcached-style
+    /// approximation beyond it.
     fn evict(&mut self, budget: usize) {
         if self.payload_bytes <= budget {
             return;
@@ -432,21 +438,20 @@ impl Inner {
         while self.payload_bytes > budget && self.live > 1 && attempts > 0 {
             attempts -= 1;
             let cap = self.table.capacity();
-            let mut victim: Option<(usize, u32, u64)> = None;
+            // `(slot, cell, age)` of the oldest row sampled so far.
+            let mut victim: Option<(usize, u32, u32)> = None;
             let mut seen = 0;
             let mut i = self.evict_cursor % cap;
             for _ in 0..cap {
                 let slot = self.table.slots[i];
-                if is_live(slot.tag) {
-                    let row = self.rows.get(slot.row);
-                    if !row.monitored {
-                        if victim.is_none_or(|(_, _, s)| row.stamp < s) {
-                            victim = Some((i, slot.row, row.stamp));
-                        }
-                        seen += 1;
-                        if seen >= EVICT_SAMPLE {
-                            break;
-                        }
+                if is_live(slot.tag) && !self.rows.is_monitored(slot.row) {
+                    let age = self.clock.wrapping_sub(self.rows.get(slot.row).stamp);
+                    if victim.is_none_or(|(_, _, a)| age > a) {
+                        victim = Some((i, slot.row, age));
+                    }
+                    seen += 1;
+                    if seen >= EVICT_SAMPLE {
+                        break;
                     }
                 }
                 i = (i + 1) % cap;
@@ -460,12 +465,12 @@ impl Inner {
                 // LRU, not an approximation.
                 self.engine.evict_exact_rounds += 1;
             }
-            let Some((ii, idx, stamp)) = victim else {
+            let Some((ii, idx, _)) = victim else {
                 break; // every remaining row is monitored
             };
-            self.unlink(ii, idx);
+            let row = self.unlink(ii, idx);
             self.stats.evictions += 1;
-            flight::record(FlightKind::Evict, stamp);
+            flight::record(FlightKind::Evict, u64::from(row.stamp));
         }
     }
 }
@@ -544,16 +549,15 @@ impl MemStore {
         {
             let s = &mut *self.inner.borrow_mut();
             if let Locate::Found(_, idx) = s.locate(hash_of(key), key) {
-                let row = s.rows.get_mut(idx);
+                let row = s.rows.get(idx);
                 let versions = row.snap.as_slice();
                 found = latest_of(versions).cloned();
-                if found.is_some() {
-                    s.clock += 1;
-                    row.stamp = s.clock;
-                }
                 if versions.len() >= 2 {
                     contested = resolver_for(&s.resolvers, key)
                         .map(|resolver| (resolver.clone(), row.snap.clone()));
+                }
+                if found.is_some() {
+                    s.touch(idx);
                 }
             }
             s.count_read(found.is_some());
@@ -636,16 +640,15 @@ impl MemStore {
                     return false;
                 }
                 s.engine.sibling_set.record(snap.as_slice().len() as u64);
-                s.clock += 1;
+                let stamp = s.tick();
                 s.insert_row(
                     ii,
                     Row {
                         key: key.clone(),
                         hash: h,
-                        stamp: s.clock,
                         snap,
+                        stamp,
                         old: 0,
-                        monitored: false,
                     },
                 );
                 true
@@ -693,14 +696,13 @@ impl MemStore {
                 Row {
                     key: key.clone(),
                     hash: h,
-                    stamp: 0,
                     snap: RowSnapshot::empty(),
+                    stamp: 0,
                     old: 0,
-                    monitored: false,
                 },
             ),
         };
-        s.rows.get_mut(idx).monitored = true;
+        s.rows.set_monitored(idx, true);
         let monitors = s.monitors.entry(idx).or_default();
         if !monitors.contains(&monitor) {
             monitors.push(monitor);
@@ -719,7 +721,7 @@ impl MemStore {
         monitors.retain(|&m| m != monitor);
         if monitors.is_empty() {
             s.monitors.remove(&idx);
-            s.rows.get_mut(idx).monitored = false;
+            s.rows.set_monitored(idx, false);
         }
     }
 
@@ -736,7 +738,7 @@ impl MemStore {
             monitors,
             ..
         } = &mut *self.inner.borrow_mut();
-        rows.drain_dirty(|idx, row| {
+        rows.drain_dirty(|idx, row, monitored| {
             let old = match std::mem::take(&mut row.old) {
                 0 => RowSnapshot::empty(),
                 old => std::mem::take(&mut pending_old[old as usize - 1].1),
@@ -745,7 +747,7 @@ impl MemStore {
                 key: row.key.clone(),
                 old,
                 new: row.snap.clone(),
-                monitors: if row.monitored {
+                monitors: if monitored {
                     monitors[&idx].clone()
                 } else {
                     Vec::new()
@@ -784,15 +786,14 @@ impl MemStore {
             if !is_live(slot.tag) {
                 continue;
             }
-            let row = s.rows.get_mut(slot.row);
-            if !pred(&row.key) {
+            if !pred(&s.rows.get(slot.row).key) {
                 continue;
             }
-            if !row.monitored {
+            if !s.rows.is_monitored(slot.row) {
                 s.unlink(ii, slot.row);
                 removed += 1;
-            } else if !row.snap.is_empty() {
-                let old = std::mem::take(&mut row.old);
+            } else if !s.rows.get(slot.row).snap.is_empty() {
+                let old = std::mem::take(&mut s.rows.get_mut(slot.row).old);
                 s.rows.clear_dirty(slot.row);
                 s.drop_pending_old(old);
                 s.replace_snap(slot.row, RowSnapshot::empty());
@@ -966,6 +967,33 @@ mod tests {
         s.write_latest(&Key::from("k-3"), ts(10, 0), Value::from("12345678"));
         assert!(s.contains(&Key::from("k-0")), "refreshed row survives");
         assert!(!s.contains(&Key::from("k-1")), "true LRU victim evicted");
+    }
+
+    #[test]
+    fn lru_clock_wrapping_past_u32_max_still_evicts_the_oldest_row() {
+        let budget = 3 * (3 + 8 + 32 + ROW_OVERHEAD);
+        let s = MemStore::new(StoreConfig {
+            memory_budget: Some(budget),
+            ..StoreConfig::default()
+        });
+        s.inner.borrow_mut().clock = u32::MAX - 2;
+        // Stamps u32::MAX - 1, u32::MAX and 0: k-2 is stamped across the wrap.
+        for i in 0..3 {
+            s.write_latest(
+                &Key::from(format!("k-{i}")),
+                ts(i as u64 + 1, 0),
+                Value::from("12345678"),
+            );
+        }
+        // Touch k-0 (stamp 1): k-1, the row stamped u32::MAX, is now the
+        // oldest although its stamp is the largest.
+        assert!(s.read_latest(&Key::from("k-0")).is_some());
+        s.write_latest(&Key::from("k-3"), ts(10, 0), Value::from("12345678"));
+        assert_eq!(s.stats().evictions, 1);
+        assert!(!s.contains(&Key::from("k-1")), "oldest row evicted");
+        for survivor in ["k-0", "k-2", "k-3"] {
+            assert!(s.contains(&Key::from(survivor)), "{survivor} survives");
+        }
     }
 
     #[test]

@@ -28,9 +28,19 @@
 //! the most recent breaching sample's trace, so a fired alert is
 //! post-mortemable down to a concrete slow/degraded operation.
 //!
+//! Each window only has to count: a sample is good or bad, and the burn is
+//! bad / total. So a window is a ring of `SUB_WINDOWS` slots of atomic
+//! `(sub-window, bad, total)` counters, and observing a sample is two or
+//! three relaxed atomic adds — no lock, no allocation. Only a *bad* sample
+//! takes the SLO's state lock, to keep its value and trace as the alert's
+//! exemplar.
+//!
 //! Like the rest of the crate this module is dependency-free and safe to
-//! call from any thread; observation takes two short mutex locks (the
-//! rolling windows), evaluation is rate-limited internally.
+//! call from any thread; evaluation is rate-limited internally. On one
+//! thread (the simulator) the windows are exact. Under threads a sample that
+//! races the rotation of its slot to a new sub-window may be counted in the
+//! sub-window being opened instead of its own, or lost; a slot rotates once
+//! per sub-window, so this moves a burn fraction by a few samples at most.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,7 +50,6 @@ use sedna_common::time::Micros;
 
 use crate::flight;
 use crate::journal::{EventJournal, EventKind};
-use crate::window::WindowedHistogram;
 
 /// What a measured sample is compared against.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -256,9 +265,83 @@ struct SloState {
 
 struct SloEntry {
     spec: SloSpec,
-    short: WindowedHistogram,
-    long: WindowedHistogram,
+    short: BurnWindow,
+    long: BurnWindow,
     state: Mutex<SloState>,
+}
+
+/// One ring slot: the sub-window it counts (`index + 1`; 0 = never used)
+/// and that sub-window's bad and total sample counts. All three are
+/// statistics that publish no other data, so every access is `Relaxed`: a
+/// reader racing a rotation may pair the new sub-window with counts of
+/// the old one, the imprecision the module docs allow.
+#[derive(Default)]
+struct BurnSlot {
+    window: AtomicU64,
+    bad: AtomicU64,
+    total: AtomicU64,
+}
+
+/// Good/bad sample counts over a rolling window of [`SUB_WINDOWS`]
+/// fixed-width sub-windows. Sub-window `w` (time `w × sub_micros` onwards)
+/// counts in slot `w % SUB_WINDOWS`; the first sample of a newer
+/// sub-window resets the slot, and a sample for a sub-window older than
+/// the slot's is a full window late, so it is dropped as already expired.
+struct BurnWindow {
+    sub_micros: u64,
+    slots: [BurnSlot; SUB_WINDOWS],
+}
+
+impl BurnWindow {
+    /// A window of `window_micros`, split into [`SUB_WINDOWS`] parts.
+    fn new(window_micros: u64) -> BurnWindow {
+        BurnWindow {
+            sub_micros: (window_micros / SUB_WINDOWS as u64).max(1),
+            slots: Default::default(),
+        }
+    }
+
+    /// Counts one sample taken at `now`.
+    fn record(&self, now: Micros, bad: bool) {
+        let tag = now / self.sub_micros + 1;
+        let slot = &self.slots[(tag % SUB_WINDOWS as u64) as usize];
+        let mut cur = slot.window.load(Ordering::Relaxed);
+        while cur != tag {
+            if cur > tag {
+                return;
+            }
+            match slot
+                .window
+                .compare_exchange(cur, tag, Ordering::Relaxed, Ordering::Relaxed)
+            {
+                Ok(_) => {
+                    slot.bad.store(0, Ordering::Relaxed);
+                    slot.total.store(0, Ordering::Relaxed);
+                    break;
+                }
+                Err(seen) => cur = seen,
+            }
+        }
+        slot.total.fetch_add(1, Ordering::Relaxed);
+        if bad {
+            slot.bad.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// `(bad, total)` over the sub-windows not yet expired at `now`: the
+    /// current one and the `SUB_WINDOWS - 1` before it.
+    fn counts(&self, now: Micros) -> (u64, u64) {
+        let oldest = (now / self.sub_micros + 1).saturating_sub(SUB_WINDOWS as u64 - 1);
+        self.slots
+            .iter()
+            .filter(|slot| slot.window.load(Ordering::Relaxed) >= oldest.max(1))
+            .fold((0, 0), |(bad, total), slot| {
+                (
+                    bad + slot.bad.load(Ordering::Relaxed),
+                    total + slot.total.load(Ordering::Relaxed),
+                )
+            })
+    }
 }
 
 /// How many sub-windows each rolling window is divided into: finer
@@ -290,22 +373,19 @@ impl AlertEngine {
     pub fn new(specs: Vec<SloSpec>, journal: Option<Arc<EventJournal>>) -> AlertEngine {
         let slos = specs
             .into_iter()
-            .map(|spec| {
-                let sub = |w: u64| (w / SUB_WINDOWS as u64).max(1);
-                SloEntry {
-                    short: WindowedHistogram::new(sub(spec.short_window_micros), SUB_WINDOWS),
-                    long: WindowedHistogram::new(sub(spec.long_window_micros), SUB_WINDOWS),
-                    state: Mutex::new(SloState {
-                        phase: AlertPhase::Ok,
-                        phase_since: 0,
-                        last_clear: 0,
-                        last_burning: 0,
-                        last_value: 0.0,
-                        trace: 0,
-                        fired_total: 0,
-                    }),
-                    spec,
-                }
+            .map(|spec| SloEntry {
+                short: BurnWindow::new(spec.short_window_micros),
+                long: BurnWindow::new(spec.long_window_micros),
+                state: Mutex::new(SloState {
+                    phase: AlertPhase::Ok,
+                    phase_since: 0,
+                    last_clear: 0,
+                    last_burning: 0,
+                    last_value: 0.0,
+                    trace: 0,
+                    fired_total: 0,
+                }),
+                spec,
             })
             .collect();
         AlertEngine {
@@ -382,9 +462,8 @@ impl AlertEngine {
         }
         let Some(e) = self.entry(slo) else { return };
         let bad = e.spec.objective.is_bad(value);
-        let sample = u64::from(bad);
-        e.short.record(now, sample);
-        e.long.record(now, sample);
+        e.short.record(now, bad);
+        e.long.record(now, bad);
         if bad {
             let mut st = e.state.lock().unwrap();
             st.last_value = value;
@@ -429,16 +508,20 @@ impl AlertEngine {
     }
 
     fn burns(&self, e: &SloEntry, now: Micros) -> (f64, f64, u64) {
-        let s = e.short.merged(now);
-        let l = e.long.merged(now);
-        let frac = |sum: u64, count: u64| {
-            if count == 0 {
+        let (short_bad, short_total) = e.short.counts(now);
+        let (long_bad, long_total) = e.long.counts(now);
+        let frac = |bad: u64, total: u64| {
+            if total == 0 {
                 0.0
             } else {
-                sum as f64 / count as f64
+                bad as f64 / total as f64
             }
         };
-        (frac(s.sum, s.count), frac(l.sum, l.count), l.count)
+        (
+            frac(short_bad, short_total),
+            frac(long_bad, long_total),
+            long_total,
+        )
     }
 
     fn eval_one(&self, e: &SloEntry, now: Micros) -> Option<AlertTransition> {
@@ -712,5 +795,40 @@ mod tests {
         let engine = AlertEngine::new(vec![quick_spec()], None);
         engine.observe(0, "nope", 1.0); // must not panic
         assert_eq!(engine.alerts(0).len(), 1);
+    }
+
+    #[test]
+    fn burn_window_counts_its_sub_windows_and_drops_expired_samples() {
+        // 5 sub-windows of 1_000 µs.
+        let w = BurnWindow::new(5_000);
+        w.record(10, true);
+        w.record(1_010, false);
+        w.record(4_999, false);
+        assert_eq!(w.counts(4_999), (1, 3));
+        // At 5_000 sub-window 0 expires; its slot is reused by sub-window 5.
+        assert_eq!(w.counts(5_000), (0, 2));
+        w.record(5_000, true);
+        assert_eq!(w.counts(5_000), (1, 3));
+        // A sample for sub-window 0 now is a full window late: dropped.
+        w.record(20, true);
+        assert_eq!(w.counts(5_000), (1, 3));
+        // Idle past the whole window: nothing left.
+        assert_eq!(w.counts(50_000), (0, 0));
+    }
+
+    #[test]
+    fn burn_window_counts_every_sample_from_many_threads() {
+        let w = BurnWindow::new(5_000_000);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let w = &w;
+                s.spawn(move || {
+                    for i in 0..10_000u64 {
+                        w.record(100 + i % 50, (i + t) % 4 == 0);
+                    }
+                });
+            }
+        });
+        assert_eq!(w.counts(200), (10_000, 40_000));
     }
 }

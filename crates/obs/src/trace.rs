@@ -13,8 +13,10 @@
 //! The client owns the tree: it opens an RPC span per replica send, closes
 //! it on the ack (which carries the node's measured store-apply time),
 //! marks the assembly point when the quorum decides, and appends a repair
-//! span per read-recovery push. Traces whose total latency crosses the
-//! configured slow-op threshold are promoted — spans and all — into the
+//! span per read-recovery push. An RPC span still open when the op
+//! finishes (a replica that never acked) is dropped from the tree. Traces
+//! whose total latency crosses the configured slow-op threshold are
+//! promoted — spans and all — into the
 //! [`EventJournal`](crate::journal::EventJournal).
 
 use std::collections::HashMap;
@@ -61,10 +63,22 @@ pub struct Span {
     pub end: Micros,
 }
 
+/// `Span::end` of an RPC span whose ack has not arrived yet.
+const OPEN: Micros = Micros::MAX;
+
 struct ActiveTrace {
     issued_at: Micros,
+    /// Recorded spans; unacked RPC spans end at [`OPEN`].
     spans: Vec<Span>,
-    open_rpc: HashMap<NodeId, Micros>,
+}
+
+impl ActiveTrace {
+    /// The open RPC span to `replica`, if any.
+    fn open_rpc(&mut self, replica: NodeId) -> Option<&mut Span> {
+        self.spans
+            .iter_mut()
+            .find(|s| s.end == OPEN && s.kind == SpanKind::ReplicaRpc { replica })
+    }
 }
 
 /// A completed trace: the full span tree plus its end-to-end latency.
@@ -110,29 +124,40 @@ impl TraceTracker {
         }
     }
 
-    /// Starts a new trace at `now`, recording the issue mark.
-    pub fn begin(&mut self, now: Micros) -> TraceId {
+    /// Starts a new trace at `now` for an op sent to `fanout` replicas,
+    /// recording the issue mark. The span list is sized for the issue mark,
+    /// an RPC and an apply span per replica, and the assembly mark.
+    pub fn begin(&mut self, now: Micros, fanout: usize) -> TraceId {
         let trace = TraceId::compose(self.origin, self.next_seq);
         self.next_seq += 1;
+        let mut spans = Vec::with_capacity(2 + 2 * fanout);
+        spans.push(Span {
+            kind: SpanKind::Issue,
+            start: now,
+            end: now,
+        });
         self.active.insert(
             trace,
             ActiveTrace {
                 issued_at: now,
-                spans: vec![Span {
-                    kind: SpanKind::Issue,
-                    start: now,
-                    end: now,
-                }],
-                open_rpc: HashMap::new(),
+                spans,
             },
         );
         trace
     }
 
-    /// Marks a frame sent to `replica` (opens the RPC span).
+    /// Marks a frame sent to `replica` (opens the RPC span; a resend
+    /// restarts the open one).
     pub fn sent(&mut self, trace: TraceId, replica: NodeId, now: Micros) {
         if let Some(t) = self.active.get_mut(&trace) {
-            t.open_rpc.insert(replica, now);
+            match t.open_rpc(replica) {
+                Some(span) => span.start = now,
+                None => t.spans.push(Span {
+                    kind: SpanKind::ReplicaRpc { replica },
+                    start: now,
+                    end: OPEN,
+                }),
+            }
         }
     }
 
@@ -140,12 +165,14 @@ impl TraceTracker {
     /// node's reported apply time).
     pub fn acked(&mut self, trace: TraceId, replica: NodeId, now: Micros, apply_nanos: u64) {
         if let Some(t) = self.active.get_mut(&trace) {
-            let start = t.open_rpc.remove(&replica).unwrap_or(now);
-            t.spans.push(Span {
-                kind: SpanKind::ReplicaRpc { replica },
-                start,
-                end: now,
-            });
+            match t.open_rpc(replica) {
+                Some(span) => span.end = now,
+                None => t.spans.push(Span {
+                    kind: SpanKind::ReplicaRpc { replica },
+                    start: now,
+                    end: now,
+                }),
+            }
             t.spans.push(Span {
                 kind: SpanKind::NodeApply {
                     replica,
@@ -179,11 +206,13 @@ impl TraceTracker {
         }
     }
 
-    /// Completes the trace and returns its span tree. Double completion is
-    /// counted (never panics) — the chaos test asserts it stays at zero.
+    /// Completes the trace and returns its span tree, without the RPC
+    /// spans of replicas that never acked. Double completion is counted
+    /// (never panics) — the chaos test asserts it stays at zero.
     pub fn finish(&mut self, trace: TraceId, now: Micros) -> Option<FinishedTrace> {
-        if let Some(t) = self.active.remove(&trace) {
+        if let Some(mut t) = self.active.remove(&trace) {
             self.completed += 1;
+            t.spans.retain(|s| s.end != OPEN);
             return Some(FinishedTrace {
                 trace,
                 total_micros: now.saturating_sub(t.issued_at),
@@ -228,15 +257,15 @@ mod tests {
         let mut b = TraceTracker::new(2);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..100 {
-            assert!(seen.insert(a.begin(0)));
-            assert!(seen.insert(b.begin(0)));
+            assert!(seen.insert(a.begin(0, 3)));
+            assert!(seen.insert(b.begin(0, 3)));
         }
     }
 
     #[test]
     fn span_tree_covers_the_quorum_round_trip() {
         let mut t = TraceTracker::new(7);
-        let id = t.begin(100);
+        let id = t.begin(100, 2);
         t.sent(id, NodeId(0), 101);
         t.sent(id, NodeId(1), 102);
         t.acked(id, NodeId(1), 350, 4_000);
@@ -264,7 +293,7 @@ mod tests {
     #[test]
     fn duplicate_finish_is_counted_not_fatal() {
         let mut t = TraceTracker::new(0);
-        let id = t.begin(0);
+        let id = t.begin(0, 3);
         assert!(t.finish(id, 10).is_some());
         assert!(t.finish(id, 11).is_none());
         assert_eq!(t.completed(), 1);
@@ -285,7 +314,7 @@ mod tests {
         assert_eq!(t.in_flight(), 0);
         assert_eq!(t.completed(), 0);
         // A real trace issued afterwards is unaffected.
-        let id = t.begin(100);
+        let id = t.begin(100, 3);
         let fin = t.finish(id, 150).expect("real trace finishes");
         assert_eq!(fin.total_micros, 50);
         // Late marks after the finish are orphans too.
@@ -309,10 +338,10 @@ mod tests {
     #[test]
     fn finished_ids_are_recognised_without_being_stored() {
         let mut t = TraceTracker::new(6);
-        let first = t.begin(0);
+        let first = t.begin(0, 3);
         assert!(t.finish(first, 1).is_some());
         for now in 0..10_000 {
-            let id = t.begin(now);
+            let id = t.begin(now, 3);
             assert!(t.finish(id, now + 1).is_some());
         }
         assert!(t.orphans.is_empty());
@@ -328,7 +357,7 @@ mod tests {
         // the tree: the RPC span starts at the ack instant, zero-length,
         // rather than being dropped or panicking.
         let mut t = TraceTracker::new(5);
-        let id = t.begin(0);
+        let id = t.begin(0, 3);
         t.acked(id, NodeId(2), 40, 900);
         let fin = t.finish(id, 50).expect("finishes");
         let rpc = fin
@@ -344,5 +373,30 @@ mod tests {
                 nanos: 900,
             }
         )));
+    }
+
+    #[test]
+    fn an_unacked_rpc_span_is_dropped_at_finish() {
+        let mut t = TraceTracker::new(8);
+        let id = t.begin(0, 3);
+        for replica in 0..3 {
+            t.sent(id, NodeId(replica), 1);
+        }
+        // A resend restarts the open span instead of opening a second.
+        t.sent(id, NodeId(2), 5);
+        t.acked(id, NodeId(0), 30, 100);
+        t.acked(id, NodeId(2), 40, 100);
+        t.assembled(id, 40);
+        let fin = t.finish(id, 41).expect("finishes");
+        let rpcs: Vec<_> = fin
+            .spans
+            .iter()
+            .filter_map(|s| match s.kind {
+                SpanKind::ReplicaRpc { replica } => Some((replica, s.start, s.end)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rpcs, vec![(NodeId(0), 1, 30), (NodeId(2), 5, 40)]);
+        assert_eq!(fin.spans.len(), 6); // issue + 2×(rpc+apply) + assembly
     }
 }

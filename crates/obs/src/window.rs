@@ -6,10 +6,11 @@
 //! admin endpoint can serve percentiles and rates over the last N windows
 //! and stale data ages out instead of dominating forever.
 //!
-//! Both types are `Mutex`-protected plain state (no atomics). They are on
-//! the per-op path: the SLO `AlertEngine` records every completed client
-//! read and write into its windows, from whichever worker finished the op,
-//! so each record takes the window's lock.
+//! Both types are `Mutex`-protected plain state (no atomics), so each
+//! record takes the window's lock. Neither is on the per-op path: the
+//! client's staleness windows record one sample per detected replica lag.
+//! The SLO `AlertEngine`, which does see every op, counts good and bad
+//! samples in its own lock-free ring of sub-window counters instead.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
