@@ -145,7 +145,7 @@ fn main() {
     let sweep_us = sweep_nanos as f64 / sweeps as f64 / 1e3;
     let t0 = Instant::now();
     for _ in 0..walks {
-        store.for_each_row(|key, snap| {
+        store.for_each_row(|_, key, snap| {
             black_box((key, snap));
         });
     }

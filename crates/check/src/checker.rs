@@ -460,7 +460,7 @@ pub fn final_replica_state(
     let mut per_node: BTreeMap<Key, BTreeMap<NodeId, Timestamp>> = BTreeMap::new();
     for n in 0..cluster.config.data_nodes as u32 {
         let node = NodeId(n);
-        cluster.node(node).store().for_each_row(|key, snap| {
+        cluster.node(node).store().for_each_row(|_, key, snap| {
             if let Some(freshest) = snap.latest().map(|v| v.ts) {
                 per_node
                     .entry(key.clone())
@@ -498,7 +498,7 @@ pub fn final_replica_dots(cluster: &SimCluster) -> BTreeMap<Key, Vec<(NodeId, Ve
     let mut per_node: BTreeMap<Key, BTreeMap<NodeId, Vec<Timestamp>>> = BTreeMap::new();
     for n in 0..cluster.config.data_nodes as u32 {
         let node = NodeId(n);
-        cluster.node(node).store().for_each_row(|key, snap| {
+        cluster.node(node).store().for_each_row(|_, key, snap| {
             let mut dots: Vec<Timestamp> = snap.as_slice().iter().map(|v| v.ts).collect();
             dots.sort();
             per_node.entry(key.clone()).or_default().insert(node, dots);

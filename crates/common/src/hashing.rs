@@ -1,28 +1,26 @@
 //! Hash functions used across the workspace.
 //!
-//! * [`fnv1a64`] — tiny and fast for short keys; used to pick memstore
-//!   shards and for in-process hash tables where HashDoS is not a concern
-//!   (the perf-book recommendation for short keys).
-//! * [`xxhash64`] — higher-quality avalanche; used for ring placement where
-//!   uniformity across the key space directly controls load balance.
+//! * [`xxhash64`] — the one hash of a key's bytes, as
+//!   [`Key::ring_hash`](crate::Key::ring_hash): its remainder mod the vnode
+//!   count places the key on the ring, its top bits index the memstore row
+//!   and pick the Merkle leaf. Its final avalanche makes every output bit
+//!   depend on every key byte, so those uses do not correlate.
+//! * [`fnv1a64`] / [`FnvHasher`] — tiny and fast; used for the Merkle
+//!   content digests (a row's versions and clock, internal-node mixing),
+//!   never to place or index a key.
 //!
 //! Both are implemented here (≈50 lines) rather than pulled in as
 //! dependencies so the hash streams — and therefore data placement and the
 //! deterministic simulation — can never drift with a crate upgrade.
 
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 /// FNV-1a, 64-bit.
 #[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+    let mut h = FnvHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 const XX_PRIME1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -118,10 +116,16 @@ pub fn xxhash64(bytes: &[u8], seed: u64) -> u64 {
     h
 }
 
-/// A `std::hash::Hasher` over FNV-1a, for `HashMap`s keyed by short byte
-/// strings or small integers (avoids SipHash cost per the perf book).
-#[derive(Default)]
+/// Streaming FNV-1a as a `std::hash::Hasher`: successive writes hash as
+/// their concatenation, so a digest over several fields needs no buffer.
 pub struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    #[inline]
+    fn default() -> Self {
+        FnvHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
 
 impl Hasher for FnvHasher {
     #[inline]
@@ -131,20 +135,12 @@ impl Hasher for FnvHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = if self.0 == 0 { OFFSET } else { self.0 };
         for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        self.0 = h;
     }
 }
-
-/// `BuildHasher` for [`FnvHasher`]; use as
-/// `HashMap::with_hasher(FnvBuildHasher::default())`.
-pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
 #[cfg(test)]
 mod tests {

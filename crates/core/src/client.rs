@@ -666,7 +666,6 @@ pub struct ClientObs {
     repairs_sent: Counter,
     stale_replicas_seen: Counter,
     batch_flush_full: Counter,
-    batch_flush_window: Counter,
     batch_flush_immediate: Counter,
     write_latency: Hist,
     read_latency: Hist,
@@ -750,7 +749,6 @@ impl ClientObs {
             repairs_sent: registry.counter("sedna_client_read_repairs_total"),
             stale_replicas_seen: registry.counter("sedna_client_stale_replicas_total"),
             batch_flush_full: registry.counter("sedna_client_batch_flush_full_total"),
-            batch_flush_window: registry.counter("sedna_client_batch_flush_window_total"),
             batch_flush_immediate: registry.counter("sedna_client_batch_flush_immediate_total"),
             write_latency: registry.hist("sedna_client_write_latency_micros"),
             read_latency: registry.hist("sedna_client_read_latency_micros"),
@@ -1051,8 +1049,6 @@ pub struct ClientCore {
     /// Staged replica ops awaiting coalescing (only used when
     /// `cfg.max_batch_ops > 1`).
     stage: ReplicaOutbox,
-    /// When the oldest currently-staged op was staged.
-    stage_since: Micros,
     /// In-flight multi-key groups, keyed by group op id.
     groups: HashMap<u64, PendingGroup>,
     /// Child op id → (group op id, index within the group).
@@ -1100,7 +1096,6 @@ impl ClientCore {
             last_lease_check: 0,
             announced_ready: false,
             stage: Vec::new(),
-            stage_since: 0,
             groups: HashMap::new(),
             child_group: HashMap::new(),
             ctx: HashMap::new(),
@@ -1264,27 +1259,23 @@ impl ClientCore {
     /// (`max_batch_ops == 1`) they pass straight through as individual
     /// frames — bit for bit the unbatched datapath; otherwise they are
     /// staged for per-destination coalescing by [`ClientCore::flush_stage`].
-    fn stage_ops(&mut self, raw: ReplicaOutbox, now: Micros, out: &mut Outbox) {
+    fn stage_ops(&mut self, raw: ReplicaOutbox, out: &mut Outbox) {
         if self.cfg.max_batch_ops <= 1 {
             out.extend(raw.into_iter().map(|(to, op)| (to, SednaMsg::Replica(op))));
             return;
-        }
-        if !raw.is_empty() && self.stage.is_empty() {
-            self.stage_since = now;
         }
         self.stage.extend(raw);
     }
 
     /// Flushes the staging buffer, grouping staged ops per destination in
-    /// first-appearance order. Full batches (`max_batch_ops` sub-ops)
-    /// always go out; partial batches go out once `max_batch_delay_micros`
-    /// has passed since the oldest staged op — with a zero window that is
-    /// immediately, i.e. at the end of the tick that staged them.
-    fn flush_stage(&mut self, now: Micros, out: &mut Outbox) {
+    /// first-appearance order: full batches (`max_batch_ops` sub-ops)
+    /// first, then the partial remainder. Every caller flushes at the end
+    /// of the step that staged, so only ops of one step coalesce and the
+    /// buffer is empty between steps.
+    fn flush_stage(&mut self, out: &mut Outbox) {
         if self.stage.is_empty() {
             return;
         }
-        let flush_partial = now.saturating_sub(self.stage_since) >= self.cfg.max_batch_delay_micros;
         let staged = std::mem::take(&mut self.stage);
         let mut order: Vec<ActorId> = Vec::new();
         let mut per: HashMap<ActorId, Vec<ReplicaOp>> = HashMap::new();
@@ -1303,29 +1294,18 @@ impl ClientCore {
                 emit_frame(out, to, ops);
                 ops = rest;
             }
-            if ops.is_empty() {
-                continue;
-            }
-            if flush_partial {
-                if self.cfg.max_batch_delay_micros == 0 {
-                    self.obs.batch_flush_immediate.inc();
-                } else {
-                    self.obs.batch_flush_window.inc();
-                }
+            if !ops.is_empty() {
+                self.obs.batch_flush_immediate.inc();
                 emit_frame(out, to, ops);
-            } else {
-                // Held back for companions; `stage_since` still tracks the
-                // oldest op, so the delay bound keeps applying to these.
-                self.stage.extend(ops.into_iter().map(|op| (to, op)));
             }
         }
     }
 
     /// Stages `raw` and performs the end-of-tick flush.
-    fn dispatch(&mut self, raw: ReplicaOutbox, now: Micros) -> Outbox {
+    fn dispatch(&mut self, raw: ReplicaOutbox) -> Outbox {
         let mut out = Outbox::new();
-        self.stage_ops(raw, now, &mut out);
-        self.flush_stage(now, &mut out);
+        self.stage_ops(raw, &mut out);
+        self.flush_stage(&mut out);
         out
     }
 
@@ -1406,7 +1386,7 @@ impl ClientCore {
         );
         self.write_meta.insert(op_id, (key.clone(), ts));
         self.obs.mark_sends(trace, &raw, &self.cfg, now);
-        Some((op_id, self.dispatch(raw, now)))
+        Some((op_id, self.dispatch(raw)))
     }
 
     /// Issues one `write_latest` per `(key, value)` pair as a single
@@ -1460,7 +1440,7 @@ impl ClientCore {
                 remaining: pairs.len(),
             },
         );
-        Some((group_id, self.dispatch(raw, now)))
+        Some((group_id, self.dispatch(raw)))
     }
 
     /// Issues one `read_latest` per key as a single multi-key operation
@@ -1503,7 +1483,7 @@ impl ClientCore {
                 remaining: keys.len(),
             },
         );
-        Some((group_id, self.dispatch(raw, now)))
+        Some((group_id, self.dispatch(raw)))
     }
 
     /// Issues a `read_latest`.
@@ -1534,7 +1514,7 @@ impl ClientCore {
         let raw = self
             .scanner
             .begin(&self.cfg, op_id, &members, prefix, deadline);
-        Some((op_id, self.dispatch(raw, now)))
+        Some((op_id, self.dispatch(raw)))
     }
 
     fn read(&mut self, key: &Key, kind: ReadKind, now: Micros) -> Option<(u64, Outbox)> {
@@ -1563,7 +1543,7 @@ impl ClientCore {
             floor,
         );
         self.obs.mark_sends(trace, &raw, &self.cfg, now);
-        Some((op_id, self.dispatch(raw, now)))
+        Some((op_id, self.dispatch(raw)))
     }
 
     fn request_ring(&mut self, now: Micros) -> Outbox {
@@ -1624,9 +1604,8 @@ impl ClientCore {
             }
             SednaMsg::Replica(op) => {
                 self.on_replica_reply(from, op, now, &mut events, &mut out);
-                // A reply may have queued repair pushes, and any delayed
-                // partial batch whose window elapsed goes out now.
-                self.flush_stage(now, &mut out);
+                // A reply may have staged read-repair pushes.
+                self.flush_stage(&mut out);
             }
             _ => {}
         }
@@ -1692,7 +1671,7 @@ impl ClientCore {
                     self.obs.read_done(&fin, &self.cfg, now);
                     self.note_read_done(&fin);
                     self.record_read_outcome(&fin, now);
-                    self.stage_ops(fin.repairs, now, out);
+                    self.stage_ops(fin.repairs, out);
                     if fin.saw_failure {
                         out.extend(self.refresh_ring_now(now));
                     }
@@ -1781,13 +1760,14 @@ impl ClientCore {
             self.obs.read_done(&fin, &self.cfg, now);
             self.note_read_done(&fin);
             self.record_read_outcome(&fin, now);
-            self.stage_ops(fin.repairs, now, &mut out);
+            self.stage_ops(fin.repairs, &mut out);
             if fin.saw_failure {
                 out.extend(self.refresh_ring_now(now));
             }
             self.complete(fin.op_id, fin.result, &mut events);
         }
-        self.flush_stage(now, &mut out);
+        // Reads closed by their deadline may have staged repair pushes.
+        self.flush_stage(&mut out);
         // A repair push lost to the network must not pin the outstanding
         // depth forever; anti-entropy converges the replica regardless.
         self.obs
@@ -2109,7 +2089,7 @@ mod tests {
     fn stage_bypasses_when_batching_disabled() {
         let mut c = ClientCore::new(cfg(), NodeId(1_000));
         assert_eq!(c.cfg.max_batch_ops, 1);
-        let out = c.dispatch(raw_ops(3, ActorId(4)), 0);
+        let out = c.dispatch(raw_ops(3, ActorId(4)));
         assert_eq!(out.len(), 3);
         for (_, m) in &out {
             assert!(matches!(m, SednaMsg::Replica(ReplicaOp::Read { .. })));
@@ -2123,7 +2103,7 @@ mod tests {
         // 3 ops to node A interleaved with 1 to node B.
         let mut raw = raw_ops(3, ActorId(4));
         raw.insert(1, raw_ops(1, ActorId(5)).pop().unwrap());
-        let out = c.dispatch(raw, 0);
+        let out = c.dispatch(raw);
         // A gets a full batch of 2 + a bare leftover; B gets a bare frame.
         assert_eq!(out.len(), 3);
         // First-appearance order: all of A's frames first, then B's.
@@ -2140,24 +2120,6 @@ mod tests {
             out[2],
             (ActorId(5), SednaMsg::Replica(ReplicaOp::Read { .. }))
         ));
-        assert!(c.stage.is_empty());
-    }
-
-    #[test]
-    fn partial_batches_wait_for_the_delay_window() {
-        let mut c = ClientCore::new(cfg().with_batching(4, 100), NodeId(1_000));
-        let out = c.dispatch(raw_ops(2, ActorId(4)), 10);
-        // Partial batch, window not yet elapsed: nothing sent, ops ride.
-        assert!(out.is_empty());
-        assert_eq!(c.stage.len(), 2);
-        // Window elapses: the partial batch flushes as one frame.
-        let mut out = Outbox::new();
-        c.flush_stage(110, &mut out);
-        assert_eq!(out.len(), 1);
-        match &out[0].1 {
-            SednaMsg::Replica(ReplicaOp::Batch { ops }) => assert_eq!(ops.len(), 2),
-            other => panic!("{other:?}"),
-        }
         assert!(c.stage.is_empty());
     }
 

@@ -76,12 +76,6 @@ pub struct ClusterConfig {
     /// `1` disables coalescing entirely — every op travels as its own frame,
     /// reproducing the unbatched datapath bit for bit.
     pub max_batch_ops: usize,
-    /// Datapath batching: how long a staged op may wait for companions
-    /// before a time-based flush (µs). `0` flushes at the end of the tick
-    /// that issued the op, so only ops from the same tick coalesce; a
-    /// positive window lets partial batches ride across ticks (pipelined
-    /// embedders) at a bounded latency cost.
-    pub max_batch_delay_micros: Micros,
     /// Observability: whether the metrics registries record. Recording
     /// never touches the virtual clock, so this cannot change simulated
     /// behavior — disabling it only removes the (small) wall-clock cost of
@@ -146,7 +140,6 @@ impl ClusterConfig {
             // Batching off by default: the paper's datapath is one frame
             // per replica op. Deployments opt in via `with_batching`.
             max_batch_ops: 1,
-            max_batch_delay_micros: 0,
             metrics_enabled: true,
             slow_op_threshold_micros: 10_000,
             journal_capacity: 256,
@@ -182,10 +175,14 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables per-destination op coalescing on the replica datapath.
+    /// Enables per-destination op coalescing on the replica datapath: ops
+    /// one client step stages for the same node travel in frames of at
+    /// most `max_ops`. Batches never wait for companions across steps, so
+    /// `max_delay_micros` must be 0; the argument stays so existing
+    /// callers keep compiling.
     pub fn with_batching(mut self, max_ops: usize, max_delay_micros: Micros) -> Self {
+        assert_eq!(max_delay_micros, 0, "batches never wait across steps");
         self.max_batch_ops = max_ops.max(1);
-        self.max_batch_delay_micros = max_delay_micros;
         self
     }
 

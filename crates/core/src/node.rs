@@ -427,7 +427,7 @@ impl SednaNode {
             .unwrap_or_default();
         if !vacated.is_empty() {
             self.store
-                .remove_matching(|k| vacated.contains(&part.locate(k)));
+                .remove_matching(|h, _| vacated.contains(&part.locate_hash(h)));
             for v in &vacated {
                 self.vnode_stats[v.index()] = VNodeStats::default();
                 self.hot_sketches[v.index()].clear();
@@ -446,11 +446,10 @@ impl SednaNode {
     fn vnode_tree(&self, vnode: VNodeId) -> MerkleTree {
         let part = self.cfg.partitioner;
         let mut tree = MerkleTree::new();
-        self.store.for_each_row(|key, snap| {
-            if part.locate(key) != vnode {
-                return;
+        self.store.for_each_row(|hash, key, snap| {
+            if part.locate_hash(hash) == vnode {
+                tree.add(hash, row_hash(key, snap.as_slice(), &snap.clock()));
             }
-            tree.add(key, row_hash(key, snap.as_slice(), &snap.clock()));
         });
         tree
     }
@@ -461,7 +460,8 @@ impl SednaNode {
     }
 
     /// The rows of `vnode` falling into the Merkle leaf buckets `mask`
-    /// flags, each with its row clock — the payload of a `SyncRows` frame.
+    /// flags, each with its row clock — the payload of a `SyncRows` frame,
+    /// or with every bit set, of a `TransferData` one.
     fn rows_in_leaves(
         &self,
         vnode: VNodeId,
@@ -469,14 +469,12 @@ impl SednaNode {
     ) -> Vec<(Key, CausalContext, Vec<sedna_memstore::VersionedValue>)> {
         let part = self.cfg.partitioner;
         let mut rows = Vec::new();
-        self.store.for_each_row(|key, snap| {
-            if part.locate(key) != vnode {
-                return;
+        self.store.for_each_row(|hash, key, snap| {
+            if part.locate_hash(hash) == vnode
+                && mask & (1u64 << sedna_replication::leaf_of(hash)) != 0
+            {
+                rows.push((key.clone(), snap.clock(), snap.to_vec()));
             }
-            if mask & (1u64 << sedna_replication::leaf_of(key)) == 0 {
-                return;
-            }
-            rows.push((key.clone(), snap.clock(), snap.to_vec()));
         });
         rows
     }
@@ -524,11 +522,13 @@ impl SednaNode {
         ring.replicas(vnode).contains(&self.node_id)
     }
 
-    fn is_primary(&self, key: &Key) -> bool {
+    /// Whether this node is the primary of the vnode of a key with
+    /// placement hash `hash` ([`Key::ring_hash`]).
+    fn is_primary(&self, hash: u64) -> bool {
         let Some(ring) = &self.ring else {
             return false;
         };
-        let vnode = self.cfg.partitioner.locate(key);
+        let vnode = self.cfg.partitioner.locate_hash(hash);
         ring.primary(vnode) == Some(self.node_id)
     }
 
@@ -759,13 +759,7 @@ impl SednaNode {
             ReplicaOp::PushAck { .. } => {}
             ReplicaOp::TransferRequest { vnode, to_node } => {
                 self.stats.transfers_out += 1;
-                let part = self.cfg.partitioner;
-                let rows = self
-                    .store
-                    .collect_matching(|k| part.locate(k) == vnode)
-                    .into_iter()
-                    .map(|(k, snap)| (k, snap.clock(), snap.to_vec()))
-                    .collect();
+                let rows = self.rows_in_leaves(vnode, u64::MAX);
                 ctx.send(
                     self.cfg.node_actor(to_node),
                     SednaMsg::Replica(ReplicaOp::TransferData { vnode, rows }),
@@ -787,13 +781,12 @@ impl SednaNode {
                 // Serve only keys this node is primary for: the client
                 // scatters to every member, so primary-filtering yields
                 // each key exactly once cluster-wide.
-                let rows: Vec<(Key, sedna_memstore::VersionedValue)> = self
-                    .store
-                    .collect_matching(|k| k.as_bytes().starts_with(&prefix))
-                    .into_iter()
-                    .filter(|(k, _)| self.is_primary(k))
-                    .filter_map(|(k, versions)| versions.latest().cloned().map(|v| (k, v)))
-                    .collect();
+                let mut rows = Vec::new();
+                self.store.for_each_row(|hash, key, snap| {
+                    if key.as_bytes().starts_with(&prefix) && self.is_primary(hash) {
+                        rows.extend(snap.latest().map(|v| (key.clone(), v.clone())));
+                    }
+                });
                 ctx.send(from, SednaMsg::Replica(ReplicaOp::ScanReply { req, rows }));
             }
             ReplicaOp::ScanReply { .. } => {}
@@ -968,7 +961,8 @@ impl SednaNode {
                 if let Some(ring) = &self.ring {
                     if !ring.replicas(vnode).contains(&self.node_id) {
                         let part = self.cfg.partitioner;
-                        self.store.remove_matching(|k| part.locate(k) == vnode);
+                        self.store
+                            .remove_matching(|h, _| part.locate_hash(h) == vnode);
                     }
                 }
             }
@@ -1161,7 +1155,8 @@ impl SednaNode {
             }
             ControlMsg::DropVNode { vnode } => {
                 let part = self.cfg.partitioner;
-                self.store.remove_matching(|k| part.locate(k) == vnode);
+                self.store
+                    .remove_matching(|h, _| part.locate_hash(h) == vnode);
             }
         }
     }
@@ -1316,7 +1311,7 @@ impl SednaNode {
             .store
             .scan_dirty()
             .into_iter()
-            .filter(|r| self.is_primary(&r.key))
+            .filter(|r| self.is_primary(r.key.ring_hash()))
             .collect();
         // Dispatch even an empty sweep: it is where flow control forgets
         // firings older than each job's interval.

@@ -167,9 +167,9 @@ fn allocs_per_key_op(group: usize) -> f64 {
     allocs as f64 / (ROUNDS * 2 * PER_GATEWAY * group) as f64
 }
 
-/// Single-key budget: 12.86 measured, plus one.
-const SINGLE_KEY_BUDGET: f64 = 13.9;
-/// 16-key budget: 10.18 measured, plus one.
+/// Single-key budget: 12.57 measured, plus one.
+const SINGLE_KEY_BUDGET: f64 = 13.6;
+/// 16-key budget: 10.16 measured, plus one.
 const BATCHED_BUDGET: f64 = 11.2;
 
 #[test]

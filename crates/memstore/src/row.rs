@@ -26,7 +26,8 @@ use crate::snap::RowSnapshot;
 /// One physical row.
 pub(crate) struct Row {
     pub key: Key,
-    /// Mixed hash of the key (its top bits pick the home slot).
+    /// The key's placement hash, [`Key::ring_hash`]: its remainder mod the
+    /// vnode count places the row, its top bits pick the home slot.
     pub hash: u64,
     /// Current versions; replaced whole, never edited, so a snapshot
     /// handed to a reader keeps the value it saw.

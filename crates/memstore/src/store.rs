@@ -33,17 +33,19 @@
 //! the trigger interval already tolerates coalesced or dropped
 //! intermediate changes, Sec. IV-B).
 //!
-//! Methods taking a closure ([`MemStore::for_each_row`],
-//! [`MemStore::collect_matching`], [`MemStore::remove_matching`]) run it
-//! while the cell is borrowed: the closure must not call back into the
-//! same store. A sibling resolver ([`MemStore::set_resolver`]) is not under
-//! that rule: `read_latest` hands it a snapshot after releasing the cell.
+//! A row is indexed by its key's placement hash, [`Key::ring_hash`] — the
+//! hash whose remainder mod the vnode count places the key — and keeps it.
+//! The row walks ([`MemStore::for_each_row`], [`MemStore::remove_matching`])
+//! hand that stored hash to their closure, so a caller filtering by vnode
+//! never hashes a key again. They run the closure while the cell is
+//! borrowed: it must not call back into the same store. A sibling
+//! resolver ([`MemStore::set_resolver`]) is not under that rule:
+//! `read_latest` hands it a snapshot after releasing the cell.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use sedna_common::hashing::fnv1a64;
 use sedna_common::{CausalContext, Key, Timestamp, Value};
 use sedna_obs::flight::{self, FlightKind};
 
@@ -55,7 +57,7 @@ use crate::policy::{ResolutionConfig, ResolverFn, TablePolicy};
 use crate::row::{Row, RowSlab, PAGE};
 use crate::snap::RowSnapshot;
 use crate::stats::StatsSnapshot;
-use crate::table::{is_live, mix, Locate, Table};
+use crate::table::{is_live, Locate, Table};
 
 /// Fixed per-row overhead charged to the memory budget (index slot, row
 /// header) — the analogue of memcached's item header.
@@ -199,11 +201,6 @@ struct Inner {
     engine: EngineSnapshot,
 }
 
-#[inline]
-fn hash_of(key: &Key) -> u64 {
-    mix(fnv1a64(key.as_bytes()))
-}
-
 fn row_cost(row: &Row) -> usize {
     row.key.len() + payload_of(&row.snap) + ROW_OVERHEAD
 }
@@ -265,7 +262,7 @@ impl Inner {
         latest: bool,
     ) -> BatchWriteResult {
         let collapse = latest && self.resolution.policy_for(key) == TablePolicy::LastWriterWins;
-        let h = hash_of(key);
+        let h = key.ring_hash();
         let was_new = match self.locate(h, key) {
             Locate::Found(_, idx) => {
                 let cur = &self.rows.get(idx).snap;
@@ -405,7 +402,7 @@ impl Inner {
     /// miss.
     fn read_snapshot(&mut self, key: &Key) -> Option<RowSnapshot> {
         let mut found = None;
-        if let Locate::Found(_, idx) = self.locate(hash_of(key), key) {
+        if let Locate::Found(_, idx) = self.locate(key.ring_hash(), key) {
             let row = self.rows.get(idx);
             if !row.snap.is_empty() {
                 found = Some(row.snap.clone());
@@ -548,7 +545,7 @@ impl MemStore {
         let mut contested = None;
         {
             let s = &mut *self.inner.borrow_mut();
-            if let Locate::Found(_, idx) = s.locate(hash_of(key), key) {
+            if let Locate::Found(_, idx) = s.locate(key.ring_hash(), key) {
                 let row = s.rows.get(idx);
                 let versions = row.snap.as_slice();
                 found = latest_of(versions).cloned();
@@ -617,7 +614,7 @@ impl MemStore {
             return false;
         }
         let s = &mut *self.inner.borrow_mut();
-        let h = hash_of(key);
+        let h = key.ring_hash();
         match s.locate(h, key) {
             Locate::Found(_, idx) => {
                 let Some(snap) = merge_dvv(&s.rows.get(idx).snap, incoming, incoming_clock) else {
@@ -659,7 +656,7 @@ impl MemStore {
     /// Removes a row, returning its value list.
     pub fn remove(&self, key: &Key) -> Option<RowSnapshot> {
         let s = &mut *self.inner.borrow_mut();
-        let Locate::Found(ii, idx) = s.locate(hash_of(key), key) else {
+        let Locate::Found(ii, idx) = s.locate(key.ring_hash(), key) else {
             return None;
         };
         s.stats.removals += 1;
@@ -669,7 +666,7 @@ impl MemStore {
     /// True when the key has stored data.
     pub fn contains(&self, key: &Key) -> bool {
         let s = &mut *self.inner.borrow_mut();
-        match s.locate(hash_of(key), key) {
+        match s.locate(key.ring_hash(), key) {
             Locate::Found(_, idx) => !s.rows.get(idx).snap.is_empty(),
             Locate::Vacant(_) => false,
         }
@@ -688,7 +685,7 @@ impl MemStore {
     /// that do not exist yet.
     pub fn add_monitor(&self, key: &Key, monitor: u32) {
         let s = &mut *self.inner.borrow_mut();
-        let h = hash_of(key);
+        let h = key.ring_hash();
         let idx = match s.locate(h, key) {
             Locate::Found(_, idx) => idx,
             Locate::Vacant(ii) => s.insert_row(
@@ -712,7 +709,7 @@ impl MemStore {
     /// Removes a monitor id from a key.
     pub fn remove_monitor(&self, key: &Key, monitor: u32) {
         let s = &mut *self.inner.borrow_mut();
-        let Locate::Found(_, idx) = s.locate(hash_of(key), key) else {
+        let Locate::Found(_, idx) = s.locate(key.ring_hash(), key) else {
             return;
         };
         let Some(monitors) = s.monitors.get_mut(&idx) else {
@@ -759,26 +756,15 @@ impl MemStore {
         out
     }
 
-    /// Snapshots all rows whose key satisfies `pred` (vnode migration
-    /// source); snapshots are refcount bumps.
-    pub fn collect_matching(&self, mut pred: impl FnMut(&Key) -> bool) -> Vec<(Key, RowSnapshot)> {
-        let mut out = Vec::new();
-        self.for_each_row(|key, snap| {
-            if pred(key) {
-                out.push((key.clone(), snap.clone()));
-            }
-        });
-        out
-    }
-
-    /// Removes the data of all rows whose key satisfies `pred`
-    /// (post-migration cleanup / vacated-vnode garbage collection).
+    /// Removes the data of all rows whose `(hash, key)` satisfies `pred`
+    /// (post-migration cleanup / vacated-vnode garbage collection); `hash`
+    /// is the row's stored [`Key::ring_hash`].
     ///
     /// Rows carrying monitors are preserved as empty rows — their Monitors
     /// column must survive so triggers keep firing if the key returns —
     /// and their pending dirty state is discarded (this node no longer
     /// dispatches for them). Returns how many rows were affected.
-    pub fn remove_matching(&self, mut pred: impl FnMut(&Key) -> bool) -> usize {
+    pub fn remove_matching(&self, mut pred: impl FnMut(u64, &Key) -> bool) -> usize {
         let s = &mut *self.inner.borrow_mut();
         let mut removed = 0;
         for ii in 0..s.table.capacity() {
@@ -786,7 +772,8 @@ impl MemStore {
             if !is_live(slot.tag) {
                 continue;
             }
-            if !pred(&s.rows.get(slot.row).key) {
+            let row = s.rows.get(slot.row);
+            if !pred(row.hash, &row.key) {
                 continue;
             }
             if !s.rows.is_monitored(slot.row) {
@@ -803,13 +790,14 @@ impl MemStore {
         removed
     }
 
-    /// Visits every stored row as a full snapshot — version list *and* row
-    /// clock — for the persistence snapshot writer and the anti-entropy
-    /// tree builder. Borrows the rows' own snapshots: no refcount traffic.
-    pub fn for_each_row(&self, mut f: impl FnMut(&Key, &RowSnapshot)) {
+    /// Visits every stored row with its [`Key::ring_hash`] and full
+    /// snapshot — version list *and* row clock — for the persistence
+    /// snapshot writer, the anti-entropy tree builder and vnode transfers.
+    /// Borrows the rows' own snapshots: no refcount traffic.
+    pub fn for_each_row(&self, mut f: impl FnMut(u64, &Key, &RowSnapshot)) {
         for row in self.inner.borrow().rows.iter() {
             if !row.snap.is_empty() {
-                f(&row.key, &row.snap);
+                f(row.hash, &row.key, &row.snap);
             }
         }
     }
@@ -1100,9 +1088,13 @@ mod tests {
                 Value::from("x"),
             );
         }
-        let picked = s.collect_matching(|k| k.as_bytes().ends_with(b"3"));
-        assert_eq!(picked.len(), 1);
-        let removed = s.remove_matching(|k| k.as_bytes()[2] % 2 == 0);
+        let mut picked = 0;
+        s.for_each_row(|_, k, _| picked += usize::from(k.as_bytes().ends_with(b"3")));
+        assert_eq!(picked, 1);
+        let removed = s.remove_matching(|h, k| {
+            assert_eq!(h, k.ring_hash());
+            k.as_bytes()[2] % 2 == 0
+        });
         assert_eq!(removed, 5);
         assert_eq!(s.len(), 5);
     }
@@ -1118,7 +1110,8 @@ mod tests {
             );
         }
         let mut n = 0;
-        s.for_each_row(|_, snap| {
+        s.for_each_row(|hash, key, snap| {
+            assert_eq!(hash, key.ring_hash());
             assert_eq!(snap.len(), 1);
             n += 1;
         });
@@ -1157,7 +1150,7 @@ mod tests {
         let got = bat.apply_batch(&ops);
         assert_eq!(got, expected);
         // Stores end up identical, row by row.
-        seq.for_each_row(|k, snap| {
+        seq.for_each_row(|_, k, snap| {
             assert_eq!(bat.read_all(k).as_ref(), Some(snap), "{k:?}");
         });
         assert_eq!(seq.len(), bat.len());

@@ -7,6 +7,13 @@
 //! a rehash re-inserts every row from its slot tag alone and never reads a
 //! row. Probing is linear and terminates at the first `EMPTY` slot.
 //!
+//! The row hash is the key's placement hash, [`Key::ring_hash`]: ring
+//! placement takes it mod the vnode count, the index its top bits.
+//! xxHash64's final avalanche spreads every key byte over every output
+//! bit, so the two uses stay independent, and the rows one node holds —
+//! which share a few residues mod the vnode count — still fill the table
+//! evenly.
+//!
 //! Inserts take the first tombstone of the probe chain or the terminating
 //! empty slot, deletes tombstone, and the store swaps in a fresh table when
 //! occupancy (live + tombstones) passes 3/4. The table has one owner — the
@@ -31,18 +38,6 @@ fn tag(hash: u64) -> u32 {
 #[inline]
 pub(crate) fn is_live(tag: u32) -> bool {
     tag & LIVE_BIT != 0
-}
-
-/// Finalizer-mixes a key's FNV-1a hash (splitmix64's finalizer): FNV-1a's
-/// bits depend unevenly on the key bytes, and the table indexes by the top
-/// bits and compares the next ones.
-#[inline]
-pub(crate) fn mix(mut h: u64) -> u64 {
-    h ^= h >> 30;
-    h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h ^= h >> 27;
-    h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
 }
 
 #[derive(Clone, Copy)]

@@ -178,7 +178,7 @@ fn vnode_cleanup_of_dirty_rows_leaks_nothing_to_the_next_rows() {
     }
     // Every row is dirty with old data; the monitored one stays as an
     // empty row, the rest free their cells.
-    assert_eq!(store.remove_matching(|_| true), 64);
+    assert_eq!(store.remove_matching(|_, _| true), 64);
     assert!(
         store.scan_dirty().is_empty(),
         "cleanup discards dirty state"

@@ -418,7 +418,7 @@ impl DirtyModel {
 fn check_sweep(store: &MemStore, model: &mut DirtyModel) {
     let ids: HashMap<Key, u8> = model.dirty.keys().map(|&id| (key_of(id), id)).collect();
     let mut want = Vec::new();
-    store.for_each_row(|key, _| want.extend(ids.get(key).map(|&id| (key.clone(), id))));
+    store.for_each_row(|_, key, _| want.extend(ids.get(key).map(|&id| (key.clone(), id))));
     let recs = store.scan_dirty();
     let got: Vec<&Key> = recs.iter().map(|r| &r.key).collect();
     prop_assert_eq!(got, want.iter().map(|(key, _)| key).collect::<Vec<_>>());
@@ -484,7 +484,7 @@ proptest! {
                 }
                 DirtyOp::RemoveMatching { digit } => {
                     let last = b'0' + digit;
-                    store.remove_matching(|k| k.as_bytes().last() == Some(&last));
+                    store.remove_matching(|_, k| k.as_bytes().last() == Some(&last));
                     // Monitored rows stay as empty rows with their monitors;
                     // either way the data, clock and dirty state are gone.
                     for key in 0..=u8::MAX {
@@ -594,7 +594,7 @@ fn step(store: &MemStore, model: &mut DirtyModel, op: DirtyOp) {
         }
         DirtyOp::RemoveMatching { digit } => {
             let last = b'0' + digit;
-            store.remove_matching(|k| k.as_bytes().last() == Some(&last));
+            store.remove_matching(|_, k| k.as_bytes().last() == Some(&last));
             for key in (0..=u8::MAX).filter(|&key| key_of(key).as_bytes().last() == Some(&last)) {
                 model.drop_row(key);
             }

@@ -25,7 +25,7 @@ pub fn write_snapshot(path: impl AsRef<Path>, store: &MemStore) -> SednaResult<u
     let path = path.as_ref();
     let mut body = Encoder::new();
     let mut rows = 0u64;
-    store.for_each_row(|key, snap| {
+    store.for_each_row(|_, key, snap| {
         body.bytes(key.as_bytes());
         body.context(&snap.clock());
         let versions = snap.as_slice();

@@ -155,7 +155,7 @@ fn run_ops(dir: &PathBuf, ops: &[Op], batch: usize) -> (MemStore, PersistEngine)
 /// version lists, and — the PR-8 burden — same row clocks.
 fn assert_stores_equal(original: &MemStore, recovered: &MemStore) {
     assert_eq!(recovered.len(), original.len(), "row count differs");
-    original.for_each_row(|key, snap| {
+    original.for_each_row(|_, key, snap| {
         let got = recovered.read_all(key).expect("row survived recovery");
         let mut got_vs = got.to_vec();
         let mut want_vs = snap.to_vec();

@@ -174,7 +174,7 @@ proptest! {
         let restored = MemStore::new(StoreConfig::default());
         load_snapshot(&path, &restored).unwrap();
         prop_assert_eq!(restored.len(), store.len());
-        store.for_each_row(|key, snap| {
+        store.for_each_row(|_, key, snap| {
             let got = restored.read_all(key).expect("row restored");
             let mut got_vs = got.to_vec();
             let mut want_vs = snap.to_vec();

@@ -8,9 +8,11 @@
 //!
 //! The digest is a fixed-shape Merkle tree:
 //!
-//! * **64 leaves**, fanout **4**, depth **3** (64 → 16 → 4 → root). A key
-//!   is assigned to a leaf by hashing its bytes, so both replicas bucket
-//!   identically without coordination.
+//! * **64 leaves**, fanout **4**, depth **3** (64 → 16 → 4 → root). A row
+//!   goes to the leaf named by the top 6 bits of its key's placement hash,
+//!   [`Key::ring_hash`] — the hash the store already keeps per row — so
+//!   both replicas bucket identically without coordination, and building a
+//!   tree never hashes a key.
 //! * A **leaf** is the XOR of its rows' [`row_hash`]es. XOR makes the leaf
 //!   order-independent and incrementally maintainable: updating one row is
 //!   `leaf ^= old_hash ^ new_hash`, and an incrementally maintained tree is
@@ -30,7 +32,9 @@
 //! divergence to a [`LeafMask`] — a u64 bitmap — so only rows in differing
 //! buckets are shipped.
 
-use sedna_common::hashing::fnv1a64;
+use std::hash::Hasher;
+
+use sedna_common::hashing::{fnv1a64, FnvHasher};
 use sedna_common::{CausalContext, Key};
 use sedna_memstore::VersionedValue;
 
@@ -43,41 +47,42 @@ pub const FANOUT: usize = 4;
 /// Bitmap over the 64 leaves: bit `i` set ⇔ leaf `i` differs.
 pub type LeafMask = u64;
 
-/// The leaf bucket a key belongs to. Pure function of the key bytes, so
-/// every replica buckets identically.
+/// The leaf bucket of a row whose key has placement hash `hash`
+/// ([`Key::ring_hash`]): its top 6 bits. Vnode choice uses `hash` mod the
+/// vnode count, which for a power-of-two count is its low bits — `hash %
+/// 64` would put a whole vnode in one leaf — so the leaf takes the bits
+/// at the other end.
 #[inline]
-pub fn leaf_of(key: &Key) -> usize {
-    // Decorrelate from the store's shard routing (also FNV of the key) by
-    // folding the high half in before reducing mod 64.
-    let h = fnv1a64(key.as_bytes());
-    ((h ^ (h >> 32)) as usize) % LEAVES
+pub fn leaf_of(hash: u64) -> usize {
+    (hash >> (64 - LEAVES.trailing_zeros())) as usize
 }
 
 /// Content hash of one row: key, live versions (dot *and* value bytes),
 /// and the row clock. Any difference a sync should repair — extra sibling,
-/// different value, differing pruning history — changes this hash.
+/// different value, differing pruning history — changes this hash. The
+/// fields stream through FNV-1a; nothing is buffered.
 pub fn row_hash(key: &Key, versions: &[VersionedValue], clock: &CausalContext) -> u64 {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
-    buf.extend_from_slice(key.as_bytes());
+    let mut h = FnvHasher::default();
+    h.write(&(key.len() as u32).to_le_bytes());
+    h.write(key.as_bytes());
     // Versions are hashed order-independently (XOR of per-version hashes):
     // replicas may hold the same siblings in different list orders.
     let mut vh: u64 = 0;
     for v in versions {
-        let mut vb = Vec::with_capacity(32 + v.value.len());
-        vb.extend_from_slice(&v.ts.micros.to_le_bytes());
-        vb.extend_from_slice(&v.ts.counter.to_le_bytes());
-        vb.extend_from_slice(&v.ts.origin.0.to_le_bytes());
-        vb.extend_from_slice(v.value.as_bytes());
-        vh ^= fnv1a64(&vb);
+        let mut vb = FnvHasher::default();
+        vb.write(&v.ts.micros.to_le_bytes());
+        vb.write(&v.ts.counter.to_le_bytes());
+        vb.write(&v.ts.origin.0.to_le_bytes());
+        vb.write(v.value.as_bytes());
+        vh ^= vb.finish();
     }
-    buf.extend_from_slice(&vh.to_le_bytes());
+    h.write(&vh.to_le_bytes());
     for (actor, (micros, counter)) in clock.entries() {
-        buf.extend_from_slice(&actor.0.to_le_bytes());
-        buf.extend_from_slice(&micros.to_le_bytes());
-        buf.extend_from_slice(&counter.to_le_bytes());
+        h.write(&actor.0.to_le_bytes());
+        h.write(&micros.to_le_bytes());
+        h.write(&counter.to_le_bytes());
     }
-    fnv1a64(&buf)
+    h.finish()
 }
 
 /// Mixes up to [`FANOUT`] child hashes into a parent hash. FNV over the
@@ -121,36 +126,38 @@ impl MerkleTree {
         MerkleTree { leaves }
     }
 
-    /// Builds a tree from scratch over `(key, row_hash)` pairs.
-    pub fn from_rows<'a, I>(rows: I) -> MerkleTree
+    /// Builds a tree from scratch over `(key_hash, row_hash)` pairs, where
+    /// `key_hash` is the row's [`Key::ring_hash`].
+    pub fn from_rows<I>(rows: I) -> MerkleTree
     where
-        I: IntoIterator<Item = (&'a Key, u64)>,
+        I: IntoIterator<Item = (u64, u64)>,
     {
         let mut t = MerkleTree::new();
-        for (key, h) in rows {
-            t.add(key, h);
+        for (key_hash, h) in rows {
+            t.add(key_hash, h);
         }
         t
     }
 
-    /// Adds a row's hash to its leaf. XOR: calling [`MerkleTree::remove`]
-    /// with the same hash undoes it exactly.
+    /// Adds a row's hash to the leaf of its `key_hash` ([`Key::ring_hash`]).
+    /// XOR: calling [`MerkleTree::remove`] with the same hashes undoes it
+    /// exactly.
     #[inline]
-    pub fn add(&mut self, key: &Key, row_hash: u64) {
-        self.leaves[leaf_of(key)] ^= row_hash;
+    pub fn add(&mut self, key_hash: u64, row_hash: u64) {
+        self.leaves[leaf_of(key_hash)] ^= row_hash;
     }
 
     /// Removes a row's hash from its leaf (XOR is its own inverse).
     #[inline]
-    pub fn remove(&mut self, key: &Key, row_hash: u64) {
-        self.add(key, row_hash);
+    pub fn remove(&mut self, key_hash: u64, row_hash: u64) {
+        self.add(key_hash, row_hash);
     }
 
     /// Replaces a row's hash in place — the incremental maintenance hook
     /// for an in-place row update.
     #[inline]
-    pub fn update(&mut self, key: &Key, old_hash: u64, new_hash: u64) {
-        self.leaves[leaf_of(key)] ^= old_hash ^ new_hash;
+    pub fn update(&mut self, key_hash: u64, old_hash: u64, new_hash: u64) {
+        self.leaves[leaf_of(key_hash)] ^= old_hash ^ new_hash;
     }
 
     /// The 64 leaf hashes (what `SyncLeaves` ships: 512 bytes).
@@ -220,7 +227,7 @@ mod tests {
     fn tree_of(rows: &[(Key, Vec<VersionedValue>)]) -> MerkleTree {
         MerkleTree::from_rows(rows.iter().map(|(k, vs)| {
             let clock = CausalContext::from_dots(vs.iter().map(|v| &v.ts));
-            (k, row_hash(k, vs, &clock))
+            (k.ring_hash(), row_hash(k, vs, &clock))
         }))
     }
 
@@ -275,7 +282,7 @@ mod tests {
 
         let expected: LeafMask = [&rows[7].0, &rows[93].0]
             .iter()
-            .map(|k| 1u64 << leaf_of(k))
+            .map(|k| 1u64 << leaf_of(k.ring_hash()))
             .fold(0, |m, bit| m | bit);
 
         assert_ne!(a.root(), b.root());
@@ -291,7 +298,7 @@ mod tests {
         let empty = MerkleTree::new();
         let expected: LeafMask = rows
             .iter()
-            .map(|(k, _)| 1u64 << leaf_of(k))
+            .map(|(k, _)| 1u64 << leaf_of(k.ring_hash()))
             .fold(0, |m, bit| m | bit);
         assert_eq!(empty.diff_leaves(full.leaves()), expected);
         // 200 keys over 64 buckets: all (or nearly all) leaves occupied —
@@ -305,8 +312,65 @@ mod tests {
         let mut t = tree_of(&rows);
         for (k, vs) in &rows {
             let clock = CausalContext::from_dots(vs.iter().map(|v| &v.ts));
-            t.remove(k, row_hash(k, vs, &clock));
+            t.remove(k.ring_hash(), row_hash(k, vs, &clock));
         }
         assert_eq!(t, MerkleTree::new());
+    }
+
+    #[test]
+    fn row_hash_is_pinned() {
+        // Replicas running different builds must digest a row alike, so
+        // the exact values are part of the sync protocol.
+        fn vv(micros: u64, counter: u32, origin: u32, val: &str) -> VersionedValue {
+            VersionedValue {
+                ts: Timestamp::new(micros, counter, NodeId(origin)),
+                value: Value::from(val),
+            }
+        }
+        let a = vec![vv(5, 0, 1, "a")];
+        let b = vec![vv(7, 2, 3, "bee")];
+        let c = vec![vv(9, 0, 1, "x"), vv(11, 1, 2, "yy")];
+        let mut c_clock = CausalContext::from_dots(c.iter().map(|v| &v.ts));
+        c_clock.observe(&Timestamp::new(13, 0, NodeId(4)));
+        let b_clock = CausalContext::from_dots(b.iter().map(|v| &v.ts));
+        assert_eq!(
+            row_hash(&Key::from("pin-a"), &a, &CausalContext::new()),
+            0xcefb_3b99_52d4_e98d
+        );
+        assert_eq!(
+            row_hash(&Key::from("pin-b"), &b, &b_clock),
+            0x8ea8_e80f_3c11_f716
+        );
+        assert_eq!(
+            row_hash(&Key::from("pin-c"), &c, &c_clock),
+            0x8b36_9f9f_dd6d_8608
+        );
+    }
+
+    #[test]
+    fn one_vnode_spreads_over_the_leaves() {
+        // A tree covers one vnode: keys with equal `ring_hash % vnodes`. The
+        // leaf must come from bits that residue does not fix, whatever the
+        // vnode count — a power of two included.
+        for vnodes in [60u64, 64, 900] {
+            let mut mask: LeafMask = 0;
+            let mut held = 0;
+            for i in 0.. {
+                let hash = Key::from(format!("key-{i}")).ring_hash();
+                if hash % vnodes != 0 {
+                    continue;
+                }
+                mask |= 1u64 << leaf_of(hash);
+                held += 1;
+                if held == 640 {
+                    break;
+                }
+            }
+            assert!(
+                mask.count_ones() >= 60,
+                "{vnodes} vnodes: 640 keys of vnode 0 fill {} leaves",
+                mask.count_ones()
+            );
+        }
     }
 }

@@ -57,22 +57,19 @@ proptest! {
                 TreeOp::Put { key, stamp } => {
                     let k = key_of(key);
                     match rows.insert(key, stamp) {
-                        Some(old) => tree.update(&k, hash_of(&k, old), hash_of(&k, stamp)),
-                        None => tree.add(&k, hash_of(&k, stamp)),
+                        Some(old) => tree.update(k.ring_hash(), hash_of(&k, old), hash_of(&k, stamp)),
+                        None => tree.add(k.ring_hash(), hash_of(&k, stamp)),
                     }
                 }
                 TreeOp::Del { key } => {
                     if let Some(old) = rows.remove(&key) {
-                        tree.remove(&key_of(key), hash_of(&key_of(key), old));
+                        tree.remove(key_of(key).ring_hash(), hash_of(&key_of(key), old));
                     }
                 }
             }
         }
         let rebuilt = MerkleTree::from_rows(
-            rows.iter().map(|(id, stamp)| (key_of(*id), hash_of(&key_of(*id), *stamp)))
-                .collect::<Vec<_>>()
-                .iter()
-                .map(|(k, h)| (k, *h)),
+            rows.iter().map(|(id, stamp)| (key_of(*id).ring_hash(), hash_of(&key_of(*id), *stamp))),
         );
         prop_assert_eq!(tree.leaves(), rebuilt.leaves());
         prop_assert_eq!(tree.root(), rebuilt.root());
@@ -93,19 +90,19 @@ proptest! {
                 TreeOp::Put { key, stamp } => {
                     let k = key_of(key);
                     match rows.insert(key, stamp) {
-                        Some(old) => tree.update(&k, hash_of(&k, old), hash_of(&k, stamp)),
-                        None => tree.add(&k, hash_of(&k, stamp)),
+                        Some(old) => tree.update(k.ring_hash(), hash_of(&k, old), hash_of(&k, stamp)),
+                        None => tree.add(k.ring_hash(), hash_of(&k, stamp)),
                     }
                 }
                 TreeOp::Del { key } => {
                     if let Some(old) = rows.remove(&key) {
-                        tree.remove(&key_of(key), hash_of(&key_of(key), old));
+                        tree.remove(key_of(key).ring_hash(), hash_of(&key_of(key), old));
                     }
                 }
             }
         }
         for (id, stamp) in rows.drain() {
-            tree.remove(&key_of(id), hash_of(&key_of(id), stamp));
+            tree.remove(key_of(id).ring_hash(), hash_of(&key_of(id), stamp));
         }
         prop_assert_eq!(tree.leaves(), MerkleTree::new().leaves());
         prop_assert_eq!(tree.root(), empty_root);
@@ -125,10 +122,7 @@ proptest! {
             }
         }
         let original = MerkleTree::from_rows(
-            rows.iter().map(|(id, stamp)| (key_of(*id), hash_of(&key_of(*id), *stamp)))
-                .collect::<Vec<_>>()
-                .iter()
-                .map(|(k, h)| (k, *h)),
+            rows.iter().map(|(id, stamp)| (key_of(*id).ring_hash(), hash_of(&key_of(*id), *stamp))),
         );
         let shipped = MerkleTree::from_leaves(*original.leaves());
         prop_assert_eq!(shipped.root(), original.root());
@@ -160,10 +154,7 @@ proptest! {
         }
         let build = |rows: &HashMap<u8, u64>| {
             MerkleTree::from_rows(
-                rows.iter().map(|(id, stamp)| (key_of(*id), hash_of(&key_of(*id), *stamp)))
-                    .collect::<Vec<_>>()
-                    .iter()
-                    .map(|(k, h)| (k, *h)),
+                rows.iter().map(|(id, stamp)| (key_of(*id).ring_hash(), hash_of(&key_of(*id), *stamp))),
             )
         };
         let a = build(&rows_a);
@@ -172,7 +163,7 @@ proptest! {
         let mut expected: u64 = 0;
         for id in 0u8..40 {
             if rows_a.get(&id) != rows_b.get(&id) {
-                expected |= 1u64 << leaf_of(&key_of(id));
+                expected |= 1u64 << leaf_of(key_of(id).ring_hash());
             }
         }
         prop_assert_eq!(a.diff_leaves(b.leaves()), expected);

@@ -44,8 +44,8 @@ impl Partitioner {
         VNodeId((key.ring_hash() % self.vnode_count as u64) as u32)
     }
 
-    /// Maps a precomputed key hash to its virtual node. Lets hot paths hash
-    /// once and reuse the value for shard choice and placement.
+    /// Maps a precomputed [`Key::ring_hash`] to its virtual node. Store
+    /// rows keep that hash, so a walk over them never rehashes a key.
     #[inline]
     pub fn locate_hash(&self, hash: u64) -> VNodeId {
         VNodeId((hash % self.vnode_count as u64) as u32)
