@@ -196,12 +196,15 @@ impl SessionClient {
             let retry = self.open(now);
             out.push((old, retry));
         }
-        let overdue: Vec<RequestId> = self
+        let mut overdue: Vec<RequestId> = self
             .in_flight
             .iter()
             .filter(|(_, (_, sent))| now.saturating_sub(*sent) > timeout)
             .map(|(r, _)| *r)
             .collect();
+        // Retry in issue order: each retry draws a fresh request id, so
+        // hash-map order would reach both the ids and the send order.
+        overdue.sort_unstable();
         for old in overdue {
             if !rotated {
                 self.preferred = (self.preferred + 1) % self.cfg.replicas.len();
@@ -489,6 +492,36 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn silent_requests_retry_in_issue_order() {
+        let mut c = client();
+        let (_, msg) = c.open(0);
+        let CoordMsg::Request { req_id, .. } = msg else {
+            panic!()
+        };
+        c.on_message(CoordMsg::Response {
+            req_id,
+            result: Ok(CoordReply::SessionOpened(SessionId(1))),
+        });
+        let issued: Vec<RequestId> = (0..8)
+            .map(|i| {
+                let op = CoordOp::Exists {
+                    path: format!("/p{i}"),
+                    watch: false,
+                };
+                c.request(op, 0).expect("session open").0
+            })
+            .collect();
+        // All eight time out in one tick: they are re-issued in the order
+        // they were first issued, in every run (not in hash-map order).
+        let retried: Vec<RequestId> = c
+            .on_tick(1_000_001)
+            .into_iter()
+            .map(|(old, _)| old)
+            .collect();
+        assert_eq!(retried, issued);
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! quorum coordinators from `sedna-replication` — issuing read-repair
 //! pushes when replicas diverge.
 //!
-//! [`QuorumWriter`]/[`QuorumReader`] are the reusable fan-out trackers; the
-//! data nodes reuse `QuorumWriter` for trigger-emitted writes.
+//! Every in-flight op — a single-key read or write, each child of a
+//! `write_many`/`read_many` and the group itself, a table scan — is one
+//! record in one table, keyed by the request id its replicas echo. A reply
+//! is one lookup, and a tick expires overdue ops in issue order.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -21,6 +23,7 @@ use sedna_common::time::{Micros, Timestamp};
 use sedna_common::{CausalContext, Key, NodeId, RequestId, TraceId, VNodeId, Value};
 use sedna_coord::client::{LeaseCache, LeaseConfig, SessionClient, SessionConfig, SessionEvent};
 use sedna_coord::messages::{CoordMsg, CoordOp, CoordReply};
+use sedna_memstore::VersionedValue;
 use sedna_net::actor::ActorId;
 use sedna_obs::critpath::{self, TailAttribution};
 use sedna_obs::flight::{self, FlightKind};
@@ -63,140 +66,7 @@ pub type Outbox = Vec<(ActorId, SednaMsg)>;
 pub type ReplicaOutbox = Vec<(ActorId, ReplicaOp)>;
 
 // ---------------------------------------------------------------------------
-// QuorumWriter
-// ---------------------------------------------------------------------------
-
-struct PendingWrite {
-    op_id: u64,
-    coord: WriteCoordinator,
-    deadline: Micros,
-    trace: TraceId,
-}
-
-/// Tracks fan-out writes; reusable by clients and by data nodes (trigger
-/// emits).
-#[derive(Default)]
-pub struct QuorumWriter {
-    next_req: u64,
-    pending: HashMap<RequestId, PendingWrite>,
-}
-
-impl QuorumWriter {
-    /// Starts a write of `(key, ts, value)` to `replicas`, needing `w`
-    /// acks by `deadline`. `ctx` is the causal context the writer has
-    /// observed for this key (empty when unknown — e.g. trigger emits).
-    /// The replica list moves into the write's coordinator. Returns the
-    /// messages to send.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin(
-        &mut self,
-        cfg: &ClusterConfig,
-        op_id: u64,
-        replicas: Vec<NodeId>,
-        w: usize,
-        key: &Key,
-        ts: Timestamp,
-        value: &Value,
-        ctx: &CausalContext,
-        kind: WriteKind,
-        deadline: Micros,
-        trace: TraceId,
-    ) -> ReplicaOutbox {
-        self.next_req += 1;
-        let req = RequestId(self.next_req);
-        let out = replicas
-            .iter()
-            .map(|&n| {
-                (
-                    cfg.node_actor(n),
-                    ReplicaOp::Write {
-                        req,
-                        key: key.clone(),
-                        ts,
-                        value: value.clone(),
-                        ctx: ctx.clone(),
-                        kind,
-                        trace,
-                    },
-                )
-            })
-            .collect();
-        let w = w.min(replicas.len()).max(1);
-        self.pending.insert(
-            req,
-            PendingWrite {
-                op_id,
-                coord: WriteCoordinator::new(replicas, w),
-                deadline,
-                trace,
-            },
-        );
-        out
-    }
-
-    /// Trace of the in-flight write keyed by `req` (None once decided).
-    pub fn trace_of(&self, req: RequestId) -> Option<TraceId> {
-        self.pending.get(&req).map(|p| p.trace)
-    }
-
-    /// Feeds an ack; returns the finished op and whether any replica
-    /// refused (stale routing).
-    pub fn on_ack(
-        &mut self,
-        cfg: &ClusterConfig,
-        from: ActorId,
-        req: RequestId,
-        ack: ReplicaWriteAck,
-    ) -> (Option<(u64, WriteOutcomeAgg)>, bool) {
-        let Some(node) = cfg.actor_node(from) else {
-            return (None, false);
-        };
-        let Some(p) = self.pending.get_mut(&req) else {
-            return (None, false);
-        };
-        let refused = matches!(ack, ReplicaWriteAck::Refused);
-        let result = match ack {
-            ReplicaWriteAck::Ok => ReplicaWriteResult::Ok,
-            ReplicaWriteAck::Outdated => ReplicaWriteResult::Outdated,
-            ReplicaWriteAck::Refused => ReplicaWriteResult::Failed,
-        };
-        let agg = p.coord.on_reply(node, result);
-        let finished = !matches!(agg, WriteOutcomeAgg::Pending);
-        let out = if finished {
-            let op_id = p.op_id;
-            self.pending.remove(&req);
-            Some((op_id, agg))
-        } else {
-            None
-        };
-        (out, refused)
-    }
-
-    /// Expires overdue writes; returns their outcomes and traces.
-    pub fn on_tick(&mut self, now: Micros) -> Vec<(u64, WriteOutcomeAgg, TraceId)> {
-        let overdue: Vec<RequestId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| now >= p.deadline)
-            .map(|(r, _)| *r)
-            .collect();
-        overdue
-            .into_iter()
-            .filter_map(|req| {
-                let mut p = self.pending.remove(&req)?;
-                Some((p.op_id, p.coord.on_deadline(), p.trace))
-            })
-            .collect()
-    }
-
-    /// Writes still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// QuorumReader
+// In-flight ops
 // ---------------------------------------------------------------------------
 
 /// Which read API an operation belongs to.
@@ -208,20 +78,58 @@ pub enum ReadKind {
     All,
 }
 
-struct PendingRead {
-    op_id: u64,
-    kind: ReadKind,
-    key: Key,
-    coord: ReadCoordinator,
+/// What an in-flight op is waiting for.
+enum OpState {
+    /// A quorum write. An `Ok` verdict folds `ts`, the write's own dot,
+    /// into the session context of `key`.
+    Write {
+        coord: WriteCoordinator,
+        key: Key,
+        ts: Timestamp,
+    },
+    /// A quorum read.
+    Read {
+        coord: ReadCoordinator,
+        key: Key,
+        kind: ReadKind,
+        /// The session's causal context for the key when the read started:
+        /// the dots the client has observed through earlier acked writes
+        /// and reads. R equal replies alone cannot promise session
+        /// monotonicity once a vnode moves (the new replica set need not
+        /// intersect the old one), so a clean answer is downgraded to
+        /// `degraded` unless the agreeing replicas' joined row clock
+        /// covers the floor: every dot the session knows is then either
+        /// live in the answer or causally overwritten.
+        floor: CausalContext,
+        /// Row clock of each replica that answered with values, at most N
+        /// entries (the first answer per replica counts, as in the
+        /// coordinator).
+        clocks: Vec<(NodeId, CausalContext)>,
+    },
+    /// A scatter–gather table scan: the members still awaited and the rows
+    /// gathered so far.
+    Scan {
+        awaiting: BTreeSet<NodeId>,
+        rows: Vec<(Key, VersionedValue)>,
+    },
+    /// A `write_many`/`read_many` assembled from its per-key children:
+    /// results in request order (`None` = child still in flight).
+    Group {
+        results: Vec<Option<ClientResult>>,
+        remaining: usize,
+    },
+}
+
+/// One in-flight op, keyed by the [`RequestId`] its replicas echo, which is
+/// also the op id its [`ClientEvent::Done`] reports.
+struct OpRecord {
+    /// When the op expires. A group has none of its own: its children
+    /// expire.
     deadline: Micros,
     trace: TraceId,
-    /// The session's causal context for the key when the read started:
-    /// every dot this client had already observed. A clean answer whose
-    /// row clocks do not cover this floor is reported degraded — see
-    /// [`QuorumReader::begin`].
-    floor: CausalContext,
-    /// Row clock per replying replica (joined for the floor check).
-    clocks: HashMap<NodeId, CausalContext>,
+    /// The group and slot of a `write_many`/`read_many` child.
+    group: Option<(RequestId, usize)>,
+    state: OpState,
 }
 
 /// One replica a quorum read observed behind the merged view, with how far
@@ -264,346 +172,12 @@ pub struct FinishedRead {
     pub degraded: bool,
 }
 
-/// Tracks fan-out reads with read-repair planning.
-#[derive(Default)]
-pub struct QuorumReader {
-    next_req: u64,
-    pending: HashMap<RequestId, PendingRead>,
-}
-
-impl QuorumReader {
-    /// Starts a read of `key` from `replicas`, needing `r` equal replies.
-    ///
-    /// `floor` is the session's causal context for the key — the dots the
-    /// client has observed through earlier acked writes and reads. R
-    /// equal replies alone cannot promise session monotonicity once a
-    /// vnode moves (the new replica set need not intersect the old one),
-    /// so a clean answer is downgraded to `degraded` unless the agreeing
-    /// replicas' joined row clock covers the floor: every dot the session
-    /// knows is then either live in the answer or causally overwritten.
-    /// The replica list moves into the read's coordinator.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin(
-        &mut self,
-        cfg: &ClusterConfig,
-        op_id: u64,
-        replicas: Vec<NodeId>,
-        r: usize,
-        key: &Key,
-        kind: ReadKind,
-        deadline: Micros,
-        trace: TraceId,
-        floor: CausalContext,
-    ) -> ReplicaOutbox {
-        self.next_req += 1;
-        let req = RequestId(self.next_req);
-        let out = replicas
-            .iter()
-            .map(|&n| {
-                (
-                    cfg.node_actor(n),
-                    ReplicaOp::Read {
-                        req,
-                        key: key.clone(),
-                        trace,
-                    },
-                )
-            })
-            .collect();
-        let r = r.min(replicas.len()).max(1);
-        self.pending.insert(
-            req,
-            PendingRead {
-                op_id,
-                kind,
-                key: key.clone(),
-                coord: ReadCoordinator::new(replicas, r),
-                deadline,
-                trace,
-                floor,
-                clocks: HashMap::new(),
-            },
-        );
-        out
-    }
-
-    /// Trace of the in-flight read keyed by `req` (None once decided).
-    pub fn trace_of(&self, req: RequestId) -> Option<TraceId> {
-        self.pending.get(&req).map(|p| p.trace)
-    }
-
-    /// Feeds a reply; returns the finished read when decided.
-    pub fn on_reply(
-        &mut self,
-        cfg: &ClusterConfig,
-        from: ActorId,
-        req: RequestId,
-        reply: ReplicaReadReply,
-    ) -> Option<FinishedRead> {
-        let node = cfg.actor_node(from)?;
-        let p = self.pending.get_mut(&req)?;
-        let rr = match reply {
-            ReplicaReadReply::Values { versions, clock } => {
-                p.clocks.insert(node, clock);
-                ReplicaRead::Values(versions)
-            }
-            ReplicaReadReply::Missing => ReplicaRead::Missing,
-            ReplicaReadReply::Refused => ReplicaRead::Failed,
-        };
-        let outcome = p.coord.on_reply(node, rr);
-        self.finish_if_decided(cfg, req, outcome)
-    }
-
-    /// Expires overdue reads.
-    pub fn on_tick(&mut self, cfg: &ClusterConfig, now: Micros) -> Vec<FinishedRead> {
-        let overdue: Vec<RequestId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| now >= p.deadline)
-            .map(|(r, _)| *r)
-            .collect();
-        overdue
-            .into_iter()
-            .filter_map(|req| {
-                let outcome = self.pending.get_mut(&req)?.coord.on_deadline();
-                self.finish_if_decided(cfg, req, outcome)
-            })
-            .collect()
-    }
-
-    /// Reads still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn finish_if_decided(
-        &mut self,
-        cfg: &ClusterConfig,
-        req: RequestId,
-        outcome: ReadOutcome,
-    ) -> Option<FinishedRead> {
-        if matches!(outcome, ReadOutcome::Pending) {
-            return None;
-        }
-        let p = self.pending.remove(&req).expect("pending read");
-        let mut repairs: ReplicaOutbox = Vec::new();
-        let mut saw_failure = false;
-        let mut lagging: Vec<StaleLag> = Vec::new();
-        let mut degraded = false;
-        let result = match outcome {
-            ReadOutcome::Ok(values) => {
-                // Session-floor gate: R replicas agreed, but agreement is
-                // only as good as the replicas — after a vnode move the
-                // new set can unanimously hold a stale row. The answer
-                // counts as clean only when the agreeing replicas' joined
-                // row clock covers every dot this session has observed
-                // for the key (a causally-pruned dot is covered by its
-                // overwriter's clock; a merely-unseen dot is not).
-                if cfg.session_floor_reads {
-                    let mut witnessed = CausalContext::EMPTY;
-                    for (node, reply) in p.coord.replies() {
-                        if matches!(reply, ReplicaRead::Values(v) if *v == values) {
-                            if let Some(c) = p.clocks.get(node) {
-                                witnessed.join(c);
-                            }
-                        }
-                    }
-                    if !witnessed.dominates(&p.floor) {
-                        degraded = true;
-                    }
-                }
-                render(p.kind, Some(values))
-            }
-            ReadOutcome::NotFound => {
-                // A unanimous "no such key" cannot cover a session that
-                // has already seen dots for it: stale quorum.
-                degraded = cfg.session_floor_reads && !p.floor.is_empty();
-                render(p.kind, None)
-            }
-            ReadOutcome::Inconsistent { merged } => {
-                degraded = true;
-                // Which replicas lag behind the merged view (for the
-                // quorum-health journal and the staleness-lag histograms):
-                // Missing = no copy at all, otherwise an older version than
-                // the freshest seen — recording *how far* behind either way.
-                if let Some(freshest) = merged.iter().map(|v| v.ts).max() {
-                    for (node, reply) in p.coord.replies() {
-                        match reply {
-                            ReplicaRead::Missing => lagging.push(StaleLag {
-                                node: *node,
-                                missing: true,
-                                ts_delta_micros: 0,
-                                freshest_micros: freshest.micros,
-                            }),
-                            ReplicaRead::Values(v)
-                                if v.iter().map(|x| x.ts).max() < Some(freshest) =>
-                            {
-                                let newest = v.iter().map(|x| x.ts.micros).max().unwrap_or(0);
-                                lagging.push(StaleLag {
-                                    node: *node,
-                                    missing: false,
-                                    ts_delta_micros: freshest.micros.saturating_sub(newest),
-                                    freshest_micros: freshest.micros,
-                                });
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                // Sec. III-C: read recovery runs asynchronously; the client
-                // answers with the freshest merged view it could assemble.
-                if cfg.read_repair_enabled {
-                    for action in plan_repair(p.coord.replies(), &merged) {
-                        let (to, versions) = match action {
-                            RepairAction::Push { to, versions }
-                            | RepairAction::Duplicate { to, versions, .. } => (to, versions),
-                        };
-                        // Repair pushes draw correlation ids from the same
-                        // sequence as reads; their acks feed the
-                        // outstanding-repair / convergence tracker.
-                        self.next_req += 1;
-                        repairs.push((
-                            cfg.node_actor(to),
-                            ReplicaOp::Push {
-                                req: RequestId(self.next_req),
-                                key: p.key.clone(),
-                                versions,
-                            },
-                        ));
-                    }
-                }
-                saw_failure = p.coord.failed_nodes().next().is_some();
-                if merged.is_empty() {
-                    render(p.kind, None)
-                } else {
-                    render(p.kind, Some(merged))
-                }
-            }
-            ReadOutcome::Failed { .. } => {
-                saw_failure = true;
-                degraded = true;
-                ClientResult::Failed
-            }
-            ReadOutcome::Pending => unreachable!(),
-        };
-        let vnode = cfg.partitioner.locate(&p.key);
-        Some(FinishedRead {
-            op_id: p.op_id,
-            key: p.key,
-            result,
-            repairs,
-            saw_failure,
-            trace: p.trace,
-            vnode,
-            lagging,
-            degraded,
-        })
-    }
-}
-
-fn render(kind: ReadKind, values: Option<Vec<sedna_memstore::VersionedValue>>) -> ClientResult {
+fn render(kind: ReadKind, values: Option<Vec<VersionedValue>>) -> ClientResult {
     match kind {
         ReadKind::Latest => {
             ClientResult::Latest(values.and_then(|v| v.into_iter().max_by_key(|x| x.ts)))
         }
         ReadKind::All => ClientResult::All(values.filter(|v| !v.is_empty())),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scans
-// ---------------------------------------------------------------------------
-
-struct PendingScan {
-    op_id: u64,
-    awaiting: std::collections::BTreeSet<NodeId>,
-    rows: Vec<(Key, sedna_memstore::VersionedValue)>,
-    deadline: Micros,
-}
-
-/// Tracks scatter–gather table scans (extension API).
-#[derive(Default)]
-pub struct ScanCoordinator {
-    next_req: u64,
-    pending: HashMap<RequestId, PendingScan>,
-}
-
-impl ScanCoordinator {
-    /// Starts a scan of `prefix` across `members`.
-    pub fn begin(
-        &mut self,
-        cfg: &ClusterConfig,
-        op_id: u64,
-        members: &[NodeId],
-        prefix: Vec<u8>,
-        deadline: Micros,
-    ) -> ReplicaOutbox {
-        self.next_req += 1;
-        let req = RequestId(self.next_req);
-        self.pending.insert(
-            req,
-            PendingScan {
-                op_id,
-                awaiting: members.iter().copied().collect(),
-                rows: Vec::new(),
-                deadline,
-            },
-        );
-        members
-            .iter()
-            .map(|&n| {
-                (
-                    cfg.node_actor(n),
-                    ReplicaOp::Scan {
-                        req,
-                        prefix: prefix.clone(),
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Feeds one node's reply; returns the finished scan when all members
-    /// (still awaited) have answered.
-    pub fn on_reply(
-        &mut self,
-        cfg: &ClusterConfig,
-        from: ActorId,
-        req: RequestId,
-        rows: Vec<(Key, sedna_memstore::VersionedValue)>,
-    ) -> Option<(u64, Vec<(Key, sedna_memstore::VersionedValue)>)> {
-        let node = cfg.actor_node(from)?;
-        let p = self.pending.get_mut(&req)?;
-        if p.awaiting.remove(&node) {
-            p.rows.extend(rows);
-        }
-        if p.awaiting.is_empty() {
-            let mut p = self.pending.remove(&req).expect("present");
-            p.rows.sort_by(|a, b| a.0.cmp(&b.0));
-            return Some((p.op_id, p.rows));
-        }
-        None
-    }
-
-    /// Deadline expiry: return whatever arrived (best-effort scan).
-    pub fn on_tick(
-        &mut self,
-        now: Micros,
-    ) -> Vec<(u64, Vec<(Key, sedna_memstore::VersionedValue)>)> {
-        let overdue: Vec<RequestId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| now >= p.deadline)
-            .map(|(r, _)| *r)
-            .collect();
-        overdue
-            .into_iter()
-            .filter_map(|req| {
-                let mut p = self.pending.remove(&req)?;
-                p.rows.sort_by(|a, b| a.0.cmp(&b.0));
-                Some((p.op_id, p.rows))
-            })
-            .collect()
     }
 }
 
@@ -1020,14 +594,6 @@ impl ClientObs {
 // ClientCore
 // ---------------------------------------------------------------------------
 
-/// A multi-key operation (`write_many`/`read_many`) being assembled from
-/// its per-key child quorum ops.
-struct PendingGroup {
-    /// Per-key results in request order; `None` = child still in flight.
-    results: Vec<Option<ClientResult>>,
-    remaining: usize,
-}
-
 /// The embeddable Sedna client ("local Sedna service").
 pub struct ClientCore {
     cfg: ClusterConfig,
@@ -1037,10 +603,13 @@ pub struct ClientCore {
     ring: Option<VNodeMap>,
     ring_req: Option<RequestId>,
     lease_req: Option<RequestId>,
-    writer: QuorumWriter,
-    reader: QuorumReader,
-    scanner: ScanCoordinator,
-    next_op: u64,
+    /// Every in-flight op — single-key reads and writes, the children of a
+    /// multi-key op and the group itself, table scans — keyed by the
+    /// request id its replicas echo.
+    ops: HashMap<RequestId, OpRecord>,
+    /// The last request id drawn. Ops and read-repair pushes share the
+    /// sequence, so each id a replica echoes names one thing.
+    last_req: u64,
     /// Monotonic timestamp state: (micros, counter).
     last_ts: (Micros, u32),
     last_ping: Micros,
@@ -1049,18 +618,11 @@ pub struct ClientCore {
     /// Staged replica ops awaiting coalescing (only used when
     /// `cfg.max_batch_ops > 1`).
     stage: ReplicaOutbox,
-    /// In-flight multi-key groups, keyed by group op id.
-    groups: HashMap<u64, PendingGroup>,
-    /// Child op id → (group op id, index within the group).
-    child_group: HashMap<u64, (u64, usize)>,
     /// Session causal contexts: per key, the dots this client has observed
     /// (own acked writes + every sibling returned by reads). Attached to
     /// outgoing writes so replicas can tell causal overwrites from
     /// concurrent ones.
     ctx: HashMap<Key, CausalContext>,
-    /// Key and dot of each in-flight write, so a `WriteOk` can fold the
-    /// write's own dot into the session context.
-    write_meta: HashMap<u64, (Key, Timestamp)>,
     /// Metrics, traces, and the event journal.
     obs: ClientObs,
     /// Optional op-history sink for the nemesis checker; `None` (the
@@ -1087,19 +649,14 @@ impl ClientCore {
             ring: None,
             ring_req: None,
             lease_req: None,
-            writer: QuorumWriter::default(),
-            reader: QuorumReader::default(),
-            scanner: ScanCoordinator::default(),
-            next_op: 0,
+            ops: HashMap::new(),
+            last_req: 0,
             last_ts: (0, 0),
             last_ping: 0,
             last_lease_check: 0,
             announced_ready: false,
             stage: Vec::new(),
-            groups: HashMap::new(),
-            child_group: HashMap::new(),
             ctx: HashMap::new(),
-            write_meta: HashMap::new(),
             obs,
             history: None,
         }
@@ -1215,15 +772,10 @@ impl ClientCore {
         self.ctx.get(key).cloned().unwrap_or(CausalContext::EMPTY)
     }
 
-    /// A write decided: drop its in-flight metadata and, when it was
-    /// acknowledged, fold its dot into the session context so the client's
-    /// next write to the key causally overwrites this one.
-    fn note_write_done(&mut self, op_id: u64, agg: &WriteOutcomeAgg) {
-        if let Some((key, ts)) = self.write_meta.remove(&op_id) {
-            if matches!(agg, WriteOutcomeAgg::Ok) {
-                self.ctx.entry(key).or_default().observe(&ts);
-            }
-        }
+    /// Draws the next request id.
+    fn new_req(&mut self) -> RequestId {
+        self.last_req += 1;
+        RequestId(self.last_req)
     }
 
     /// A read decided: every sibling dot it returned joins the session
@@ -1276,18 +828,22 @@ impl ClientCore {
         if self.stage.is_empty() {
             return;
         }
-        let staged = std::mem::take(&mut self.stage);
-        let mut order: Vec<ActorId> = Vec::new();
-        let mut per: HashMap<ActorId, Vec<ReplicaOp>> = HashMap::new();
-        for (to, op) in staged {
-            let q = per.entry(to).or_default();
-            if q.is_empty() {
-                order.push(to);
-            }
-            q.push(op);
+        // A step reaches at most `data_nodes` destinations: a linear
+        // search beats hashing. Each destination's ops grow by `push` from
+        // empty, since they become a `Batch` frame that crosses threads
+        // and its allocation size class shows in `batch_many`.
+        let mut per: Vec<(ActorId, Vec<ReplicaOp>)> = Vec::new();
+        for (to, op) in std::mem::take(&mut self.stage) {
+            let i = match per.iter().position(|(dest, _)| *dest == to) {
+                Some(i) => i,
+                None => {
+                    per.push((to, Vec::new()));
+                    per.len() - 1
+                }
+            };
+            per[i].1.push(op);
         }
-        for to in order {
-            let mut ops = per.remove(&to).expect("grouped above");
+        for (to, mut ops) in per {
             while ops.len() >= self.cfg.max_batch_ops {
                 let rest = ops.split_off(self.cfg.max_batch_ops);
                 self.obs.batch_flush_full.inc();
@@ -1309,28 +865,43 @@ impl ClientCore {
         out
     }
 
-    /// Routes a finished op to its completion: standalone ops surface as
-    /// [`ClientEvent::Done`] directly; children of a `write_many`/
-    /// `read_many` group complete the group once every sibling reported.
-    fn complete(&mut self, op_id: u64, result: ClientResult, events: &mut Vec<ClientEvent>) {
-        let Some((group_id, idx)) = self.child_group.remove(&op_id) else {
-            events.push(ClientEvent::Done { op_id, result });
+    /// Routes a finished op to its completion: a standalone op surfaces as
+    /// [`ClientEvent::Done`] directly; a child of a `write_many`/
+    /// `read_many` fills its slot and completes the group once every
+    /// sibling reported.
+    fn complete(
+        &mut self,
+        req: RequestId,
+        group: Option<(RequestId, usize)>,
+        result: ClientResult,
+        events: &mut Vec<ClientEvent>,
+    ) {
+        let Some((group, slot)) = group else {
+            events.push(ClientEvent::Done {
+                op_id: req.0,
+                result,
+            });
             return;
         };
-        let group = self.groups.get_mut(&group_id).expect("group for child");
-        if group.results[idx].is_none() {
-            group.remaining -= 1;
+        let rec = self
+            .ops
+            .get_mut(&group)
+            .expect("a group outlives its children");
+        let OpState::Group { results, remaining } = &mut rec.state else {
+            unreachable!("a child's group slot names a group");
+        };
+        if results[slot].is_none() {
+            *remaining -= 1;
         }
-        group.results[idx] = Some(result);
-        if group.remaining == 0 {
-            let group = self.groups.remove(&group_id).expect("present");
-            let results = group
-                .results
+        results[slot] = Some(result);
+        if *remaining == 0 {
+            let results = std::mem::take(results)
                 .into_iter()
                 .map(|r| r.unwrap_or(ClientResult::Failed))
                 .collect();
+            self.ops.remove(&group);
             events.push(ClientEvent::Done {
-                op_id: group_id,
+                op_id: group.0,
                 result: ClientResult::Many(results),
             });
         }
@@ -1355,38 +926,88 @@ impl ClientCore {
     ) -> Option<(u64, Outbox)> {
         sedna_obs::prof_scope!("client.write");
         let replicas = self.replicas_for(key)?;
-        self.next_op += 1;
-        let op_id = self.next_op;
+        let (req, raw) = self.start_write(key, &value, kind, replicas, now, None);
+        Some((req.0, self.dispatch(raw)))
+    }
+
+    /// Opens the record of one quorum write to `replicas` — a single-key
+    /// op, or the child in `group`'s slot — and returns its fan-out.
+    fn start_write(
+        &mut self,
+        key: &Key,
+        value: &Value,
+        kind: WriteKind,
+        replicas: Vec<NodeId>,
+        now: Micros,
+        group: Option<(RequestId, usize)>,
+    ) -> (RequestId, ReplicaOutbox) {
+        let req = self.new_req();
         let ts = self.next_timestamp(now);
         let ctx = self.ctx_of(key);
-        let deadline = now + self.cfg.request_deadline_micros;
         let trace = self.obs.tracker.begin(now, replicas.len());
-        self.record_invoke(
-            op_id,
-            trace,
-            || crate::history::HistoryOp::Write {
-                key: key.clone(),
-                ts,
-                ctx: ctx.clone(),
-            },
-            now,
-        );
-        let raw = self.writer.begin(
-            &self.cfg,
-            op_id,
-            replicas,
-            self.cfg.quorum.w,
-            key,
-            ts,
-            &value,
-            &ctx,
-            kind,
-            deadline,
-            trace,
-        );
-        self.write_meta.insert(op_id, (key.clone(), ts));
+        if group.is_none() {
+            self.record_invoke(
+                req.0,
+                trace,
+                || crate::history::HistoryOp::Write {
+                    key: key.clone(),
+                    ts,
+                    ctx: ctx.clone(),
+                },
+                now,
+            );
+        }
+        let raw: ReplicaOutbox = replicas
+            .iter()
+            .map(|&n| {
+                (
+                    self.cfg.node_actor(n),
+                    ReplicaOp::Write {
+                        req,
+                        key: key.clone(),
+                        ts,
+                        value: value.clone(),
+                        ctx: ctx.clone(),
+                        kind,
+                        trace,
+                    },
+                )
+            })
+            .collect();
         self.obs.mark_sends(trace, &raw, &self.cfg, now);
-        Some((op_id, self.dispatch(raw)))
+        let w = self.cfg.quorum.w.min(replicas.len()).max(1);
+        self.ops.insert(
+            req,
+            OpRecord {
+                deadline: now + self.cfg.request_deadline_micros,
+                trace,
+                group,
+                state: OpState::Write {
+                    coord: WriteCoordinator::new(replicas, w),
+                    key: key.clone(),
+                    ts,
+                },
+            },
+        );
+        (req, raw)
+    }
+
+    /// Opens a `write_many`/`read_many` group of `len` slots.
+    fn start_group(&mut self, len: usize) -> RequestId {
+        let req = self.new_req();
+        self.ops.insert(
+            req,
+            OpRecord {
+                deadline: Micros::MAX,
+                trace: TraceId::default(),
+                group: None,
+                state: OpState::Group {
+                    results: vec![None; len],
+                    remaining: len,
+                },
+            },
+        );
+        req
     }
 
     /// Issues one `write_latest` per `(key, value)` pair as a single
@@ -1405,42 +1026,20 @@ impl ClientCore {
         let routes: Option<Vec<Vec<NodeId>>> =
             pairs.iter().map(|(k, _)| self.replicas_for(k)).collect();
         let routes = routes?;
-        self.next_op += 1;
-        let group_id = self.next_op;
-        let deadline = now + self.cfg.request_deadline_micros;
+        let group = self.start_group(pairs.len());
         let mut raw = ReplicaOutbox::new();
-        for (idx, ((key, value), replicas)) in pairs.iter().zip(routes).enumerate() {
-            self.next_op += 1;
-            let child = self.next_op;
-            let ts = self.next_timestamp(now);
-            let ctx = self.ctx_of(key);
-            let trace = self.obs.tracker.begin(now, replicas.len());
-            let child_raw = self.writer.begin(
-                &self.cfg,
-                child,
-                replicas,
-                self.cfg.quorum.w,
+        for (slot, ((key, value), replicas)) in pairs.iter().zip(routes).enumerate() {
+            let (_, child) = self.start_write(
                 key,
-                ts,
                 value,
-                &ctx,
                 WriteKind::Latest,
-                deadline,
-                trace,
+                replicas,
+                now,
+                Some((group, slot)),
             );
-            self.write_meta.insert(child, (key.clone(), ts));
-            self.obs.mark_sends(trace, &child_raw, &self.cfg, now);
-            raw.extend(child_raw);
-            self.child_group.insert(child, (group_id, idx));
+            raw.extend(child);
         }
-        self.groups.insert(
-            group_id,
-            PendingGroup {
-                results: vec![None; pairs.len()],
-                remaining: pairs.len(),
-            },
-        );
-        Some((group_id, self.dispatch(raw)))
+        Some((group.0, self.dispatch(raw)))
     }
 
     /// Issues one `read_latest` per key as a single multi-key operation
@@ -1452,38 +1051,14 @@ impl ClientCore {
         }
         let routes: Option<Vec<Vec<NodeId>>> = keys.iter().map(|k| self.replicas_for(k)).collect();
         let routes = routes?;
-        self.next_op += 1;
-        let group_id = self.next_op;
-        let deadline = now + self.cfg.request_deadline_micros;
+        let group = self.start_group(keys.len());
         let mut raw = ReplicaOutbox::new();
-        for (idx, (key, replicas)) in keys.iter().zip(routes).enumerate() {
-            self.next_op += 1;
-            let child = self.next_op;
-            let trace = self.obs.tracker.begin(now, replicas.len());
-            let floor = self.ctx_of(key);
-            let child_raw = self.reader.begin(
-                &self.cfg,
-                child,
-                replicas,
-                self.cfg.quorum.r,
-                key,
-                ReadKind::Latest,
-                deadline,
-                trace,
-                floor,
-            );
-            self.obs.mark_sends(trace, &child_raw, &self.cfg, now);
-            raw.extend(child_raw);
-            self.child_group.insert(child, (group_id, idx));
+        for (slot, (key, replicas)) in keys.iter().zip(routes).enumerate() {
+            let (_, child) =
+                self.start_read(key, ReadKind::Latest, replicas, now, Some((group, slot)));
+            raw.extend(child);
         }
-        self.groups.insert(
-            group_id,
-            PendingGroup {
-                results: vec![None; keys.len()],
-                remaining: keys.len(),
-            },
-        );
-        Some((group_id, self.dispatch(raw)))
+        Some((group.0, self.dispatch(raw)))
     }
 
     /// Issues a `read_latest`.
@@ -1506,44 +1081,280 @@ impl ClientCore {
         if members.is_empty() {
             return None;
         }
-        self.next_op += 1;
-        let op_id = self.next_op;
+        let req = self.new_req();
         let prefix = sedna_common::KeyPath::prefix_for_table(dataset, table);
-        // Scans touch every node; give them a bigger deadline than point ops.
-        let deadline = now + self.cfg.request_deadline_micros * 4;
-        let raw = self
-            .scanner
-            .begin(&self.cfg, op_id, &members, prefix, deadline);
-        Some((op_id, self.dispatch(raw)))
+        let raw = members
+            .iter()
+            .map(|&n| {
+                (
+                    self.cfg.node_actor(n),
+                    ReplicaOp::Scan {
+                        req,
+                        prefix: prefix.clone(),
+                    },
+                )
+            })
+            .collect();
+        self.ops.insert(
+            req,
+            OpRecord {
+                // Scans touch every node; give them a bigger deadline than
+                // point ops.
+                deadline: now + self.cfg.request_deadline_micros * 4,
+                trace: TraceId::default(),
+                group: None,
+                state: OpState::Scan {
+                    awaiting: members.into_iter().collect(),
+                    rows: Vec::new(),
+                },
+            },
+        );
+        Some((req.0, self.dispatch(raw)))
     }
 
     fn read(&mut self, key: &Key, kind: ReadKind, now: Micros) -> Option<(u64, Outbox)> {
         sedna_obs::prof_scope!("client.read");
         let replicas = self.replicas_for(key)?;
-        self.next_op += 1;
-        let op_id = self.next_op;
-        let deadline = now + self.cfg.request_deadline_micros;
+        let (req, raw) = self.start_read(key, kind, replicas, now, None);
+        Some((req.0, self.dispatch(raw)))
+    }
+
+    /// Opens the record of one quorum read of `key` from `replicas`, needing
+    /// R equal replies — a single-key op, or the child in `group`'s slot —
+    /// and returns its fan-out.
+    fn start_read(
+        &mut self,
+        key: &Key,
+        kind: ReadKind,
+        replicas: Vec<NodeId>,
+        now: Micros,
+        group: Option<(RequestId, usize)>,
+    ) -> (RequestId, ReplicaOutbox) {
+        let req = self.new_req();
         let trace = self.obs.tracker.begin(now, replicas.len());
-        self.record_invoke(
-            op_id,
-            trace,
-            || crate::history::HistoryOp::Read { key: key.clone() },
-            now,
-        );
+        if group.is_none() {
+            self.record_invoke(
+                req.0,
+                trace,
+                || crate::history::HistoryOp::Read { key: key.clone() },
+                now,
+            );
+        }
+        let raw: ReplicaOutbox = replicas
+            .iter()
+            .map(|&n| {
+                (
+                    self.cfg.node_actor(n),
+                    ReplicaOp::Read {
+                        req,
+                        key: key.clone(),
+                        trace,
+                    },
+                )
+            })
+            .collect();
+        self.obs.mark_sends(trace, &raw, &self.cfg, now);
+        let r = self.cfg.quorum.r.min(replicas.len()).max(1);
         let floor = self.ctx_of(key);
-        let raw = self.reader.begin(
-            &self.cfg,
-            op_id,
-            replicas,
-            self.cfg.quorum.r,
+        self.ops.insert(
+            req,
+            OpRecord {
+                deadline: now + self.cfg.request_deadline_micros,
+                trace,
+                group,
+                state: OpState::Read {
+                    coord: ReadCoordinator::new(replicas, r),
+                    key: key.clone(),
+                    kind,
+                    floor,
+                    clocks: Vec::new(),
+                },
+            },
+        );
+        (req, raw)
+    }
+
+    /// A write decided, by its acks or its deadline: close its trace and,
+    /// when it was acknowledged, fold its dot into the session context so
+    /// the client's next write to the key causally overwrites this one.
+    fn finish_write(
+        &mut self,
+        req: RequestId,
+        rec: OpRecord,
+        agg: WriteOutcomeAgg,
+        now: Micros,
+        events: &mut Vec<ClientEvent>,
+    ) {
+        let OpState::Write { key, ts, .. } = rec.state else {
+            unreachable!("finish_write on a write record");
+        };
+        self.obs.write_done(rec.trace, &agg, now);
+        if matches!(agg, WriteOutcomeAgg::Ok) {
+            self.ctx.entry(key).or_default().observe(&ts);
+        }
+        self.record_write_outcome(req.0, &agg, now);
+        self.complete(req, rec.group, write_result(agg), events);
+    }
+
+    /// A read decided, by its replies or its deadline: close its trace,
+    /// stage its read-repair pushes, and refresh the ring when a replica
+    /// failed.
+    fn finish_read(
+        &mut self,
+        req: RequestId,
+        rec: OpRecord,
+        outcome: ReadOutcome,
+        now: Micros,
+        events: &mut Vec<ClientEvent>,
+        out: &mut Outbox,
+    ) {
+        let group = rec.group;
+        let fin = self.decide_read(req, rec, outcome);
+        self.obs.read_done(&fin, &self.cfg, now);
+        self.note_read_done(&fin);
+        self.record_read_outcome(&fin, now);
+        self.stage_ops(fin.repairs, out);
+        if fin.saw_failure {
+            out.extend(self.refresh_ring_now(now));
+        }
+        self.complete(req, group, fin.result, events);
+    }
+
+    /// Turns a read's verdict into its result, its lagging replicas and the
+    /// read-repair pushes that bring them up to date.
+    fn decide_read(&mut self, req: RequestId, rec: OpRecord, outcome: ReadOutcome) -> FinishedRead {
+        let OpState::Read {
+            coord,
             key,
             kind,
-            deadline,
-            trace,
             floor,
-        );
-        self.obs.mark_sends(trace, &raw, &self.cfg, now);
-        Some((op_id, self.dispatch(raw)))
+            clocks,
+        } = rec.state
+        else {
+            unreachable!("decide_read on a read record");
+        };
+        let mut repairs: ReplicaOutbox = Vec::new();
+        let mut saw_failure = false;
+        let mut lagging: Vec<StaleLag> = Vec::new();
+        let mut degraded = false;
+        let result = match outcome {
+            ReadOutcome::Ok(values) => {
+                // Session-floor gate: R replicas agreed, but agreement is
+                // only as good as the replicas — after a vnode move the
+                // new set can unanimously hold a stale row. The answer
+                // counts as clean only when the agreeing replicas' joined
+                // row clock covers every dot this session has observed
+                // for the key (a causally-pruned dot is covered by its
+                // overwriter's clock; a merely-unseen dot is not).
+                if self.cfg.session_floor_reads {
+                    let mut witnessed = CausalContext::EMPTY;
+                    for (node, reply) in coord.replies() {
+                        if matches!(reply, ReplicaRead::Values(v) if *v == values) {
+                            if let Some((_, c)) = clocks.iter().find(|(n, _)| n == node) {
+                                witnessed.join(c);
+                            }
+                        }
+                    }
+                    if !witnessed.dominates(&floor) {
+                        degraded = true;
+                    }
+                }
+                render(kind, Some(values))
+            }
+            ReadOutcome::NotFound => {
+                // A unanimous "no such key" cannot cover a session that
+                // has already seen dots for it: stale quorum.
+                degraded = self.cfg.session_floor_reads && !floor.is_empty();
+                render(kind, None)
+            }
+            ReadOutcome::Inconsistent { merged } => {
+                degraded = true;
+                // Which replicas lag behind the merged view (for the
+                // quorum-health journal and the staleness-lag histograms):
+                // Missing = no copy at all, otherwise an older version than
+                // the freshest seen — recording *how far* behind either way.
+                if let Some(freshest) = merged.iter().map(|v| v.ts).max() {
+                    for (node, reply) in coord.replies() {
+                        match reply {
+                            ReplicaRead::Missing => lagging.push(StaleLag {
+                                node: *node,
+                                missing: true,
+                                ts_delta_micros: 0,
+                                freshest_micros: freshest.micros,
+                            }),
+                            ReplicaRead::Values(v)
+                                if v.iter().map(|x| x.ts).max() < Some(freshest) =>
+                            {
+                                let newest = v.iter().map(|x| x.ts.micros).max().unwrap_or(0);
+                                lagging.push(StaleLag {
+                                    node: *node,
+                                    missing: false,
+                                    ts_delta_micros: freshest.micros.saturating_sub(newest),
+                                    freshest_micros: freshest.micros,
+                                });
+                            }
+                            _ => {}
+                        }
+                    }
+                }
+                // Sec. III-C: read recovery runs asynchronously; the client
+                // answers with the freshest merged view it could assemble.
+                if self.cfg.read_repair_enabled {
+                    for action in plan_repair(coord.replies(), &merged) {
+                        let (to, versions) = match action {
+                            RepairAction::Push { to, versions }
+                            | RepairAction::Duplicate { to, versions, .. } => (to, versions),
+                        };
+                        // Repair pushes draw correlation ids from the op
+                        // sequence; their acks feed the outstanding-repair /
+                        // convergence tracker.
+                        let push = self.new_req();
+                        repairs.push((
+                            self.cfg.node_actor(to),
+                            ReplicaOp::Push {
+                                req: push,
+                                key: key.clone(),
+                                versions,
+                            },
+                        ));
+                    }
+                }
+                saw_failure = coord.failed_nodes().next().is_some();
+                if merged.is_empty() {
+                    render(kind, None)
+                } else {
+                    render(kind, Some(merged))
+                }
+            }
+            ReadOutcome::Failed { .. } => {
+                saw_failure = true;
+                degraded = true;
+                ClientResult::Failed
+            }
+            ReadOutcome::Pending => unreachable!(),
+        };
+        let vnode = self.cfg.partitioner.locate(&key);
+        FinishedRead {
+            op_id: req.0,
+            key,
+            result,
+            repairs,
+            saw_failure,
+            trace: rec.trace,
+            vnode,
+            lagging,
+            degraded,
+        }
+    }
+
+    /// A scan closes with the rows gathered, sorted by key: every member's
+    /// on its last reply, whatever arrived on its deadline.
+    fn finish_scan(&mut self, req: RequestId, rec: OpRecord, events: &mut Vec<ClientEvent>) {
+        let OpState::Scan { mut rows, .. } = rec.state else {
+            unreachable!("finish_scan on a scan record");
+        };
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        self.complete(req, rec.group, ClientResult::Scanned(rows), events);
     }
 
     fn request_ring(&mut self, now: Micros) -> Outbox {
@@ -1630,26 +1441,55 @@ impl ClientCore {
                 apply_nanos,
                 ..
             } => {
-                let trace = self.writer.trace_of(req);
-                if let (Some(trace), Some(node)) = (trace, self.cfg.actor_node(from)) {
-                    self.obs.tracker.acked(trace, node, now, apply_nanos);
-                }
-                let (done, refused) = self.writer.on_ack(&self.cfg, from, req, ack);
-                if refused {
+                let Some(node) = self.cfg.actor_node(from) else {
+                    return;
+                };
+                let Some(OpRecord {
+                    trace,
+                    state: OpState::Write { coord, .. },
+                    ..
+                }) = self.ops.get_mut(&req)
+                else {
+                    return;
+                };
+                self.obs.tracker.acked(*trace, node, now, apply_nanos);
+                let agg = coord.on_reply(
+                    node,
+                    match ack {
+                        ReplicaWriteAck::Ok => ReplicaWriteResult::Ok,
+                        ReplicaWriteAck::Outdated => ReplicaWriteResult::Outdated,
+                        ReplicaWriteAck::Refused => ReplicaWriteResult::Failed,
+                    },
+                );
+                if ack == ReplicaWriteAck::Refused {
                     out.extend(self.refresh_ring_now(now));
                 }
-                if let Some((op_id, agg)) = done {
-                    if let Some(trace) = trace {
-                        self.obs.write_done(trace, &agg, now);
-                    }
-                    self.note_write_done(op_id, &agg);
-                    self.record_write_outcome(op_id, &agg, now);
-                    self.complete(op_id, write_result(agg), events);
+                if !matches!(agg, WriteOutcomeAgg::Pending) {
+                    let rec = self.ops.remove(&req).expect("present");
+                    self.finish_write(req, rec, agg, now, events);
                 }
             }
             ReplicaOp::ScanReply { req, rows } => {
-                if let Some((op_id, rows)) = self.scanner.on_reply(&self.cfg, from, req, rows) {
-                    self.complete(op_id, ClientResult::Scanned(rows), events);
+                let Some(node) = self.cfg.actor_node(from) else {
+                    return;
+                };
+                let Some(OpRecord {
+                    state:
+                        OpState::Scan {
+                            awaiting,
+                            rows: got,
+                        },
+                    ..
+                }) = self.ops.get_mut(&req)
+                else {
+                    return;
+                };
+                if awaiting.remove(&node) {
+                    got.extend(rows);
+                }
+                if awaiting.is_empty() {
+                    let rec = self.ops.remove(&req).expect("present");
+                    self.finish_scan(req, rec, events);
                 }
             }
             ReplicaOp::ReadReply {
@@ -1658,24 +1498,35 @@ impl ClientCore {
                 apply_nanos,
                 ..
             } => {
-                let refused = matches!(reply, ReplicaReadReply::Refused);
-                if refused {
+                if matches!(reply, ReplicaReadReply::Refused) {
                     out.extend(self.refresh_ring_now(now));
                 }
-                if let (Some(trace), Some(node)) =
-                    (self.reader.trace_of(req), self.cfg.actor_node(from))
-                {
-                    self.obs.tracker.acked(trace, node, now, apply_nanos);
-                }
-                if let Some(fin) = self.reader.on_reply(&self.cfg, from, req, reply) {
-                    self.obs.read_done(&fin, &self.cfg, now);
-                    self.note_read_done(&fin);
-                    self.record_read_outcome(&fin, now);
-                    self.stage_ops(fin.repairs, out);
-                    if fin.saw_failure {
-                        out.extend(self.refresh_ring_now(now));
+                let Some(node) = self.cfg.actor_node(from) else {
+                    return;
+                };
+                let Some(OpRecord {
+                    trace,
+                    state: OpState::Read { coord, clocks, .. },
+                    ..
+                }) = self.ops.get_mut(&req)
+                else {
+                    return;
+                };
+                self.obs.tracker.acked(*trace, node, now, apply_nanos);
+                let reply = match reply {
+                    ReplicaReadReply::Values { versions, clock } => {
+                        if !clocks.iter().any(|(n, _)| *n == node) {
+                            clocks.push((node, clock));
+                        }
+                        ReplicaRead::Values(versions)
                     }
-                    self.complete(fin.op_id, fin.result, events);
+                    ReplicaReadReply::Missing => ReplicaRead::Missing,
+                    ReplicaReadReply::Refused => ReplicaRead::Failed,
+                };
+                let outcome = coord.on_reply(node, reply);
+                if !matches!(outcome, ReadOutcome::Pending) {
+                    let rec = self.ops.remove(&req).expect("present");
+                    self.finish_read(req, rec, outcome, now, events, out);
                 }
             }
             ReplicaOp::PushAck { req } => {
@@ -1729,7 +1580,6 @@ impl ClientCore {
             }) = result
             {
                 let stale = self.lease.apply_changes(changed, latest_zxid, truncated);
-                let _ = now;
                 if stale.iter().any(|p| p == paths::RING) {
                     out.extend(self.request_ring(now));
                 }
@@ -1743,28 +1593,34 @@ impl ClientCore {
     pub fn on_tick(&mut self, now: Micros) -> (Vec<ClientEvent>, Outbox) {
         let mut events = Vec::new();
         let mut out: Outbox = Vec::new();
-        for (op_id, agg, trace) in self.writer.on_tick(now) {
-            let failed = matches!(agg, WriteOutcomeAgg::Failed { .. });
-            self.obs.write_done(trace, &agg, now);
-            self.note_write_done(op_id, &agg);
-            self.record_write_outcome(op_id, &agg, now);
-            self.complete(op_id, write_result(agg), &mut events);
-            if failed {
-                out.extend(self.refresh_ring_now(now));
+        // Overdue ops complete in issue order, so ops that expire in the
+        // same tick surface (and send their ring refreshes and repairs) in
+        // the same order in every run.
+        let mut overdue: Vec<RequestId> = self
+            .ops
+            .iter()
+            .filter(|(_, rec)| now >= rec.deadline)
+            .map(|(req, _)| *req)
+            .collect();
+        overdue.sort_unstable();
+        for req in overdue {
+            let mut rec = self.ops.remove(&req).expect("listed above");
+            match &mut rec.state {
+                OpState::Write { coord, .. } => {
+                    let agg = coord.on_deadline();
+                    let failed = matches!(agg, WriteOutcomeAgg::Failed { .. });
+                    self.finish_write(req, rec, agg, now, &mut events);
+                    if failed {
+                        out.extend(self.refresh_ring_now(now));
+                    }
+                }
+                OpState::Read { coord, .. } => {
+                    let outcome = coord.on_deadline();
+                    self.finish_read(req, rec, outcome, now, &mut events, &mut out);
+                }
+                OpState::Scan { .. } => self.finish_scan(req, rec, &mut events),
+                OpState::Group { .. } => unreachable!("a group has no deadline"),
             }
-        }
-        for (op_id, rows) in self.scanner.on_tick(now) {
-            self.complete(op_id, ClientResult::Scanned(rows), &mut events);
-        }
-        for fin in self.reader.on_tick(&self.cfg, now) {
-            self.obs.read_done(&fin, &self.cfg, now);
-            self.note_read_done(&fin);
-            self.record_read_outcome(&fin, now);
-            self.stage_ops(fin.repairs, &mut out);
-            if fin.saw_failure {
-                out.extend(self.refresh_ring_now(now));
-            }
-            self.complete(fin.op_id, fin.result, &mut events);
         }
         // Reads closed by their deadline may have staged repair pushes.
         self.flush_stage(&mut out);
@@ -1849,6 +1705,51 @@ mod tests {
         ClusterConfig::small()
     }
 
+    /// A client whose routing cache holds a ring of nodes 0, 1 and 2; with
+    /// N=3 every vnode has all three as replicas.
+    fn ready(cfg: &ClusterConfig) -> ClientCore {
+        let mut ring = VNodeMap::new(cfg.partitioner.vnode_count(), cfg.quorum.n);
+        for n in 0..3 {
+            ring.join(NodeId(n));
+        }
+        let mut c = ClientCore::new(cfg.clone(), NodeId(1_000));
+        c.ring = Some(ring);
+        c
+    }
+
+    fn write_ack(req: RequestId, ack: ReplicaWriteAck) -> SednaMsg {
+        SednaMsg::Replica(ReplicaOp::WriteAck {
+            req,
+            ack,
+            apply_nanos: 0,
+            lock_nanos: 0,
+        })
+    }
+
+    fn read_reply(req: RequestId, reply: ReplicaReadReply) -> SednaMsg {
+        SednaMsg::Replica(ReplicaOp::ReadReply {
+            req,
+            reply,
+            apply_nanos: 0,
+            lock_nanos: 0,
+        })
+    }
+
+    fn values(v: &VersionedValue) -> ReplicaReadReply {
+        ReplicaReadReply::Values {
+            versions: vec![v.clone()],
+            clock: CausalContext::EMPTY,
+        }
+    }
+
+    /// The request id of the first replica op in `out`.
+    fn req_of(out: &Outbox) -> RequestId {
+        match &out[0].1 {
+            SednaMsg::Replica(ReplicaOp::Write { req, .. } | ReplicaOp::Read { req, .. }) => *req,
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn not_ready_before_ring() {
         let mut c = ClientCore::new(cfg(), NodeId(1_000));
@@ -1865,80 +1766,56 @@ mod tests {
     #[test]
     fn quorum_writer_full_cycle() {
         let cfg = cfg();
-        let mut w = QuorumWriter::default();
-        let replicas = vec![NodeId(0), NodeId(1), NodeId(2)];
-        let out = w.begin(
-            &cfg,
-            1,
-            replicas,
-            2,
-            &Key::from("k"),
-            Timestamp::new(1, 0, NodeId(1_000)),
-            &Value::from("v"),
-            &CausalContext::EMPTY,
-            WriteKind::Latest,
-            100,
-            TraceId(1),
-        );
+        let mut c = ready(&cfg);
+        let (op_id, out) = c
+            .write_latest(&Key::from("k"), Value::from("v"), 1)
+            .expect("ready");
         assert_eq!(out.len(), 3);
-        assert_eq!(w.in_flight(), 1);
-        let req = match &out[0].1 {
-            ReplicaOp::Write { req, .. } => *req,
-            other => panic!("{other:?}"),
-        };
-        let (done, _) = w.on_ack(&cfg, cfg.node_actor(NodeId(0)), req, ReplicaWriteAck::Ok);
-        assert!(done.is_none());
-        let (done, _) = w.on_ack(&cfg, cfg.node_actor(NodeId(1)), req, ReplicaWriteAck::Ok);
-        assert_eq!(done, Some((1, WriteOutcomeAgg::Ok)));
-        assert_eq!(w.in_flight(), 0);
+        assert_eq!(c.ops.len(), 1);
+        let req = req_of(&out);
+        assert_eq!(req.0, op_id);
+        let node = |n| cfg.node_actor(NodeId(n));
+        let (events, _) = c.on_message(node(0), write_ack(req, ReplicaWriteAck::Ok), 2);
+        assert!(events.is_empty());
+        let (events, _) = c.on_message(node(1), write_ack(req, ReplicaWriteAck::Ok), 3);
+        assert_eq!(
+            events,
+            vec![ClientEvent::Done {
+                op_id,
+                result: ClientResult::Ok,
+            }]
+        );
+        assert!(c.ops.is_empty());
     }
 
     #[test]
     fn quorum_writer_deadline_fails() {
         let cfg = cfg();
-        let mut w = QuorumWriter::default();
-        w.begin(
-            &cfg,
-            7,
-            vec![NodeId(0), NodeId(1), NodeId(2)],
-            2,
-            &Key::from("k"),
-            Timestamp::ZERO,
-            &Value::from("v"),
-            &CausalContext::EMPTY,
-            WriteKind::All,
-            100,
-            TraceId(7),
+        let mut c = ready(&cfg);
+        let (op_id, _) = c
+            .write_all(&Key::from("k"), Value::from("v"), 0)
+            .expect("ready");
+        let deadline = cfg.request_deadline_micros;
+        assert!(c.on_tick(deadline - 1).0.is_empty());
+        let (events, _) = c.on_tick(deadline);
+        assert_eq!(
+            events,
+            vec![ClientEvent::Done {
+                op_id,
+                result: ClientResult::Failed,
+            }]
         );
-        assert!(w.on_tick(50).is_empty());
-        let done = w.on_tick(100);
-        assert_eq!(done.len(), 1);
-        assert!(matches!(
-            done[0],
-            (7, WriteOutcomeAgg::Failed { .. }, TraceId(7))
-        ));
+        // The expiry closed the write's own trace.
+        assert_eq!(c.obs().traces_completed(), 1);
+        assert!(c.ops.is_empty());
     }
 
     #[test]
     fn quorum_reader_repairs_inconsistency() {
-        use sedna_memstore::VersionedValue;
         let cfg = cfg();
-        let mut r = QuorumReader::default();
-        let out = r.begin(
-            &cfg,
-            3,
-            vec![NodeId(0), NodeId(1), NodeId(2)],
-            2,
-            &Key::from("k"),
-            ReadKind::Latest,
-            100,
-            TraceId(3),
-            CausalContext::EMPTY,
-        );
-        let req = match &out[0].1 {
-            ReplicaOp::Read { req, .. } => *req,
-            other => panic!("{other:?}"),
-        };
+        let mut c = ready(&cfg);
+        let (op_id, out) = c.read_latest(&Key::from("k"), 1).expect("ready");
+        let req = req_of(&out);
         let fresh = VersionedValue {
             ts: Timestamp::new(9, 0, NodeId(1_000)),
             value: Value::from("fresh"),
@@ -1947,43 +1824,25 @@ mod tests {
             ts: Timestamp::new(4, 0, NodeId(1_000)),
             value: Value::from("stale"),
         };
+        let node = |n| cfg.node_actor(NodeId(n));
         // Three mutually-divergent replies: no group reaches R=2.
-        assert!(r
-            .on_reply(
-                &cfg,
-                cfg.node_actor(NodeId(0)),
-                req,
-                ReplicaReadReply::Values {
-                    versions: vec![fresh.clone()],
-                    clock: CausalContext::EMPTY,
-                }
-            )
-            .is_none());
-        assert!(r
-            .on_reply(
-                &cfg,
-                cfg.node_actor(NodeId(1)),
-                req,
-                ReplicaReadReply::Values {
-                    versions: vec![stale],
-                    clock: CausalContext::EMPTY,
-                }
-            )
-            .is_none());
-        let fin = r
-            .on_reply(
-                &cfg,
-                cfg.node_actor(NodeId(2)),
-                req,
-                ReplicaReadReply::Missing,
-            )
-            .expect("decided");
+        let (events, _) = c.on_message(node(0), read_reply(req, values(&fresh)), 2);
+        assert!(events.is_empty());
+        let (events, _) = c.on_message(node(1), read_reply(req, values(&stale)), 3);
+        assert!(events.is_empty());
+        let (events, out) = c.on_message(node(2), read_reply(req, ReplicaReadReply::Missing), 4);
         // Merged answer is the freshest value; the stale and missing
         // replicas each get a repair push.
-        assert_eq!(fin.result, ClientResult::Latest(Some(fresh)));
-        assert_eq!(fin.repairs.len(), 2);
-        for (_, m) in &fin.repairs {
-            assert!(matches!(m, ReplicaOp::Push { .. }));
+        assert_eq!(
+            events,
+            vec![ClientEvent::Done {
+                op_id,
+                result: ClientResult::Latest(Some(fresh)),
+            }]
+        );
+        assert_eq!(out.len(), 2);
+        for (_, m) in &out {
+            assert!(matches!(m, SednaMsg::Replica(ReplicaOp::Push { .. })));
         }
     }
 
@@ -1992,52 +1851,25 @@ mod tests {
         // R + W > N guarantees a committed write intersects every read
         // quorum, so two Missing replies are an authoritative NotFound
         // (the third, unconfirmed copy never reached W).
-        use sedna_memstore::VersionedValue;
         let cfg = cfg();
-        let mut r = QuorumReader::default();
-        let out = r.begin(
-            &cfg,
-            4,
-            vec![NodeId(0), NodeId(1), NodeId(2)],
-            2,
-            &Key::from("k"),
-            ReadKind::Latest,
-            100,
-            TraceId(4),
-            CausalContext::EMPTY,
-        );
-        let req = match &out[0].1 {
-            ReplicaOp::Read { req, .. } => *req,
-            other => panic!("{other:?}"),
-        };
+        let mut c = ready(&cfg);
+        let (op_id, out) = c.read_latest(&Key::from("k"), 1).expect("ready");
+        let req = req_of(&out);
         let orphan = VersionedValue {
             ts: Timestamp::new(9, 0, NodeId(1_000)),
             value: Value::from("orphan"),
         };
-        r.on_reply(
-            &cfg,
-            cfg.node_actor(NodeId(0)),
-            req,
-            ReplicaReadReply::Values {
-                versions: vec![orphan],
-                clock: CausalContext::EMPTY,
-            },
+        let node = |n| cfg.node_actor(NodeId(n));
+        c.on_message(node(0), read_reply(req, values(&orphan)), 2);
+        c.on_message(node(1), read_reply(req, ReplicaReadReply::Missing), 3);
+        let (events, _) = c.on_message(node(2), read_reply(req, ReplicaReadReply::Missing), 4);
+        assert_eq!(
+            events,
+            vec![ClientEvent::Done {
+                op_id,
+                result: ClientResult::Latest(None),
+            }]
         );
-        r.on_reply(
-            &cfg,
-            cfg.node_actor(NodeId(1)),
-            req,
-            ReplicaReadReply::Missing,
-        );
-        let fin = r
-            .on_reply(
-                &cfg,
-                cfg.node_actor(NodeId(2)),
-                req,
-                ReplicaReadReply::Missing,
-            )
-            .expect("decided");
-        assert_eq!(fin.result, ClientResult::Latest(None));
     }
 
     #[test]
@@ -2048,12 +1880,7 @@ mod tests {
         let mut c = ClientCore::new(cfg2.clone(), NodeId(1_000));
         let (events, out) = c.on_message(
             cfg2.node_actor(NodeId(0)),
-            SednaMsg::Replica(ReplicaOp::WriteAck {
-                req: RequestId(1),
-                ack: ReplicaWriteAck::Refused,
-                apply_nanos: 0,
-                lock_nanos: 0,
-            }),
+            write_ack(RequestId(1), ReplicaWriteAck::Refused),
             0,
         );
         assert!(events.is_empty());
@@ -2068,6 +1895,31 @@ mod tests {
         let d = c.next_timestamp(4); // clock stall/regression
         let e = c.next_timestamp(6);
         assert!(a < b && b < d && d < e);
+    }
+
+    #[test]
+    fn overdue_ops_complete_in_issue_order() {
+        // Writes and reads interleaved, none answered: the tick past their
+        // common deadline completes them in the order they were issued, in
+        // every run (not write-before-read, nor in hash-map order).
+        let cfg = cfg();
+        let mut c = ready(&cfg);
+        let mut issued = Vec::new();
+        for i in 0..8 {
+            let key = Key::from(format!("k{i}"));
+            issued.push(c.write_latest(&key, Value::from("v"), 0).expect("ready").0);
+            issued.push(c.read_latest(&key, 0).expect("ready").0);
+        }
+        let (events, _) = c.on_tick(cfg.request_deadline_micros + 1);
+        let done: Vec<u64> = events
+            .iter()
+            .map(|e| match e {
+                ClientEvent::Done { op_id, .. } => *op_id,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(done, issued);
+        assert!(issued.windows(2).all(|w| w[0] < w[1]));
     }
 
     fn raw_ops(n: usize, to: ActorId) -> ReplicaOutbox {
@@ -2125,28 +1977,50 @@ mod tests {
 
     #[test]
     fn group_completion_assembles_results_in_request_order() {
-        let mut c = ClientCore::new(cfg(), NodeId(1_000));
-        c.groups.insert(
-            7,
-            PendingGroup {
-                results: vec![None, None],
-                remaining: 2,
-            },
-        );
-        c.child_group.insert(8, (7, 0));
-        c.child_group.insert(9, (7, 1));
+        let cfg = cfg();
+        let mut c = ready(&cfg);
+        let pairs = [
+            (Key::from("a"), Value::from("1")),
+            (Key::from("b"), Value::from("2")),
+        ];
+        let (op_id, out) = c.write_many(&pairs, 1).expect("ready");
+        // One record per child plus the group's own.
+        assert_eq!(c.ops.len(), 3);
+        let child = |key: &Key| {
+            out.iter()
+                .find_map(|(_, m)| match m {
+                    SednaMsg::Replica(ReplicaOp::Write { req, key: k, .. }) if k == key => {
+                        Some(*req)
+                    }
+                    _ => None,
+                })
+                .expect("a write per key")
+        };
+        let (a, b) = (child(&pairs[0].0), child(&pairs[1].0));
+        let node = |n| cfg.node_actor(NodeId(n));
         let mut events = Vec::new();
         // Children complete out of order; the group reports in slot order.
-        c.complete(9, ClientResult::Outdated, &mut events);
+        // (`Outdated` is decided once all three replicas answered.)
+        for n in 0..3 {
+            events.extend(
+                c.on_message(node(n), write_ack(b, ReplicaWriteAck::Outdated), 2)
+                    .0,
+            );
+        }
         assert!(events.is_empty());
-        c.complete(8, ClientResult::Ok, &mut events);
+        for n in 0..2 {
+            events.extend(
+                c.on_message(node(n), write_ack(a, ReplicaWriteAck::Ok), 3)
+                    .0,
+            );
+        }
         assert_eq!(
             events,
             vec![ClientEvent::Done {
-                op_id: 7,
+                op_id,
                 result: ClientResult::Many(vec![ClientResult::Ok, ClientResult::Outdated]),
             }]
         );
-        assert!(c.groups.is_empty() && c.child_group.is_empty());
+        assert!(c.ops.is_empty());
     }
 }

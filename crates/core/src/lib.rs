@@ -45,7 +45,7 @@ pub mod manager;
 pub mod messages;
 pub mod node;
 
-pub use client::{ClientCore, ClientEvent, QuorumReader, QuorumWriter, ReadKind, ScanCoordinator};
+pub use client::{ClientCore, ClientEvent, ReadKind};
 pub use cluster::{install_profiling, Gateway, SimCluster, ThreadCluster};
 pub use config::{paths, ClusterConfig};
 pub use divergence::{DivergenceEpisode, DivergenceSnapshot, DivergenceTracker};

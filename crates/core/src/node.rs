@@ -40,7 +40,6 @@ use sedna_replication::{row_hash, MerkleTree};
 use sedna_ring::{HotKeyRow, VNodeMap, VNodeStats};
 use sedna_triggers::{Emits, JobSpec, TriggerEngine, WriteMode};
 
-use crate::client::QuorumWriter;
 use crate::config::{paths, ClusterConfig};
 use crate::divergence::DivergenceTracker;
 use crate::messages::{
@@ -106,8 +105,6 @@ pub struct SednaNode {
     lease: LeaseCache,
     lease_req: Option<RequestId>,
     engine: TriggerEngine,
-    emit_writer: QuorumWriter,
-    next_emit_op: u64,
     persist: Option<PersistEngine>,
     vnode_stats: Vec<VNodeStats>,
     /// One Space-Saving sketch per vnode: which keys make the vnode hot.
@@ -219,8 +216,6 @@ impl SednaNode {
             lease: LeaseCache::new(LeaseConfig::default()),
             lease_req: None,
             engine,
-            emit_writer: QuorumWriter::default(),
-            next_emit_op: 0,
             persist,
             vnode_stats,
             hot_sketches,
@@ -966,19 +961,12 @@ impl SednaNode {
                     }
                 }
             }
-            ReplicaOp::WriteAck { req, ack, .. } => {
-                // Ack for one of our trigger-emit writes.
-                let _ = self.emit_writer.on_ack(&self.cfg, from, req, ack);
-            }
-            ReplicaOp::AckBatch { acks } => {
-                for ack in acks {
-                    if let ReplicaOp::WriteAck { req, ack, .. } = ack {
-                        let _ = self.emit_writer.on_ack(&self.cfg, from, req, ack);
-                    }
-                }
-            }
             ReplicaOp::Batch { ops } => self.handle_batch(from, ops, ctx),
-            ReplicaOp::ReadReply { .. } => {}
+            // Acks of this node's trigger-emit writes: emits are plain
+            // sends, and nothing waits on them.
+            ReplicaOp::WriteAck { .. }
+            | ReplicaOp::AckBatch { .. }
+            | ReplicaOp::ReadReply { .. } => {}
         }
     }
 
@@ -1296,9 +1284,6 @@ impl SednaNode {
                 self.send_coord(ctx, to, m);
             }
         }
-        // Emit-write deadlines (failures are surfaced as refused/failed
-        // stats; the data will be re-emitted on the next relevant change).
-        let _ = self.emit_writer.on_tick(now);
         ctx.set_timer(T_TICK, self.cfg.ping_interval_micros / 4);
     }
 
@@ -1324,34 +1309,30 @@ impl SednaNode {
                 if replicas.is_empty() {
                     continue;
                 }
-                self.next_emit_op += 1;
                 let ts = self.next_timestamp(now);
                 let kind = match mode {
                     WriteMode::Latest => WriteKind::Latest,
                     WriteMode::All => WriteKind::All,
                 };
-                let deadline = now + self.cfg.request_deadline_micros;
                 self.stats.trigger_emits += 1;
-                let op = self.next_emit_op;
-                let w = self.cfg.quorum.w;
-                // Emit-writes trace under the node's own origin (node
-                // ids are disjoint from the 1000+ client origins).
-                let trace = TraceId::compose(self.node_id.0 as u64, op);
-                // Trigger emits carry no session history: empty context.
-                for (to, rop) in self.emit_writer.begin(
-                    &self.cfg,
-                    op,
-                    replicas,
-                    w,
-                    &key,
-                    ts,
-                    &value,
-                    &CausalContext::EMPTY,
-                    kind,
-                    deadline,
-                    trace,
-                ) {
-                    ctx.send(to, SednaMsg::Replica(rop));
+                // Emit-writes trace under the node's own origin (node ids
+                // are disjoint from the 1000+ client origins), numbered by
+                // the node's emit count, which also serves as their
+                // request id.
+                let seq = self.stats.trigger_emits;
+                let trace = TraceId::compose(self.node_id.0 as u64, seq);
+                for n in replicas {
+                    let op = ReplicaOp::Write {
+                        req: RequestId(seq),
+                        key: key.clone(),
+                        ts,
+                        value: value.clone(),
+                        // Trigger emits carry no session history.
+                        ctx: CausalContext::EMPTY,
+                        kind,
+                        trace,
+                    };
+                    ctx.send(self.cfg.node_actor(n), SednaMsg::Replica(op));
                 }
             }
         }

@@ -169,8 +169,8 @@ fn allocs_per_key_op(group: usize) -> f64 {
 
 /// Single-key budget: 12.57 measured, plus one.
 const SINGLE_KEY_BUDGET: f64 = 13.6;
-/// 16-key budget: 10.16 measured, plus one.
-const BATCHED_BUDGET: f64 = 11.2;
+/// 16-key budget: 10.08 measured, plus one.
+const BATCHED_BUDGET: f64 = 11.1;
 
 #[test]
 fn single_key_load_stays_within_its_allocation_budget() {
