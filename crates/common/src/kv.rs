@@ -7,9 +7,10 @@
 //! and encodes/decodes it into the flat [`Key`] representation the storage
 //! layer uses, so monitors can be registered at any of the three levels.
 
-use bytes::Bytes;
+use std::borrow::Borrow;
 use std::fmt;
 
+use crate::buf::Buf;
 use crate::hashing::xxhash64;
 
 /// Separator between the dataset / table / key components of a flat key.
@@ -19,13 +20,14 @@ use crate::hashing::xxhash64;
 /// user-supplied components by [`KeyPath::new`].
 pub const KEY_SEPARATOR: u8 = 0x1f;
 
-/// An opaque storage key. Cheap to clone (refcounted bytes).
+/// An opaque storage key. Cheap to clone: one pointer to refcounted bytes
+/// ([`Buf`]), compared, ordered and hashed as its byte slice.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Key(Bytes);
+pub struct Key(Buf);
 
 impl Key {
     /// Builds a key from raw bytes.
-    pub fn from_bytes(bytes: impl Into<Bytes>) -> Self {
+    pub fn from_bytes(bytes: impl Into<Buf>) -> Self {
         Key(bytes.into())
     }
 
@@ -55,6 +57,17 @@ impl Key {
     }
 }
 
+const _: () = assert!(std::mem::size_of::<Key>() == 8);
+const _: () = assert!(std::mem::size_of::<Option<Key>>() == 8);
+const _: () = assert!(std::mem::size_of::<Value>() == 8);
+
+impl Borrow<[u8]> for Key {
+    #[inline]
+    fn borrow(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 impl fmt::Debug for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match std::str::from_utf8(&self.0) {
@@ -66,29 +79,30 @@ impl fmt::Debug for Key {
 
 impl From<&str> for Key {
     fn from(s: &str) -> Self {
-        Key(Bytes::copy_from_slice(s.as_bytes()))
+        Key(Buf::from(s))
     }
 }
 
 impl From<String> for Key {
     fn from(s: String) -> Self {
-        Key(Bytes::from(s.into_bytes()))
+        Key(Buf::from(s))
     }
 }
 
 impl From<Vec<u8>> for Key {
     fn from(v: Vec<u8>) -> Self {
-        Key(Bytes::from(v))
+        Key(Buf::from(v))
     }
 }
 
-/// An opaque stored value. Cheap to clone (refcounted bytes).
+/// An opaque stored value. Cheap to clone: one pointer to refcounted bytes
+/// ([`Buf`]).
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct Value(Bytes);
+pub struct Value(Buf);
 
 impl Value {
     /// Builds a value from raw bytes.
-    pub fn from_bytes(bytes: impl Into<Bytes>) -> Self {
+    pub fn from_bytes(bytes: impl Into<Buf>) -> Self {
         Value(bytes.into())
     }
 
@@ -128,19 +142,19 @@ impl fmt::Debug for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value(Bytes::copy_from_slice(s.as_bytes()))
+        Value(Buf::from(s))
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value(Bytes::from(s.into_bytes()))
+        Value(Buf::from(s))
     }
 }
 
 impl From<Vec<u8>> for Value {
     fn from(v: Vec<u8>) -> Self {
-        Value(Bytes::from(v))
+        Value(Buf::from(v))
     }
 }
 
@@ -282,6 +296,25 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 5);
         assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn map_lookups_by_key_and_by_bytes_agree() {
+        use std::collections::{BTreeMap, HashMap};
+        let keys: Vec<Key> = (0..100).map(|i| Key::from(format!("k-{i}"))).collect();
+        let hashed: HashMap<Key, usize> = keys.iter().cloned().zip(0..).collect();
+        let ordered: BTreeMap<Key, usize> = keys.iter().cloned().zip(0..).collect();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(hashed.get(key), Some(&i));
+            assert_eq!(hashed.get(key.as_bytes()), Some(&i));
+            assert_eq!(ordered.get(key.as_bytes()), Some(&i));
+        }
+        assert_eq!(hashed.get(&b"k-100"[..]), None);
+        // Keys order as their bytes do.
+        let mut by_bytes: Vec<&[u8]> = keys.iter().map(Key::as_bytes).collect();
+        by_bytes.sort();
+        let by_key: Vec<&[u8]> = ordered.keys().map(Key::as_bytes).collect();
+        assert_eq!(by_key, by_bytes);
     }
 
     #[test]

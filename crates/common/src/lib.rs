@@ -4,6 +4,7 @@
 //! distributed key-value store for realtime cloud applications. This crate
 //! holds the vocabulary every other crate in the workspace speaks:
 //!
+//! * [`buf`] — the thin refcounted byte buffer behind keys and values;
 //! * [`ids`] — strongly-typed identifiers for real nodes, virtual nodes,
 //!   sessions and requests;
 //! * [`kv`] — keys, values and the hierarchical key space (`dataset / table /
@@ -20,6 +21,7 @@
 //!
 //! Nothing in this crate performs I/O or spawns threads.
 
+pub mod buf;
 pub mod dvv;
 pub mod error;
 pub mod hashing;

@@ -112,6 +112,9 @@ struct TelemetryInner {
     hot_keys: Vec<HotKeyRow>,
     engine: Option<EngineSnapshot>,
     divergence: Option<DivergenceSnapshot>,
+    sweeps: u64,
+    /// `sweeps` at the last sweep that fired an action.
+    fired_at: u64,
 }
 
 /// A node's live per-vnode load and hot-key view, shared with the admin
@@ -185,6 +188,23 @@ impl NodeTelemetry {
     /// The last published divergence view, if any.
     pub fn divergence(&self) -> Option<DivergenceSnapshot> {
         self.lock().divergence.clone()
+    }
+
+    /// Counts one trigger sweep (called from the node's sweep), noting
+    /// whether it fired any action.
+    pub fn note_sweep(&self, fired: bool) {
+        let mut inner = self.lock();
+        inner.sweeps += 1;
+        if fired {
+            inner.fired_at = inner.sweeps;
+        }
+    }
+
+    /// Trigger sweeps so far, and how many of the latest ones in a row
+    /// fired nothing.
+    pub fn sweeps(&self) -> (u64, u64) {
+        let inner = self.lock();
+        (inner.sweeps, inner.sweeps - inner.fired_at)
     }
 }
 

@@ -594,6 +594,10 @@ impl ClientObs {
 // ClientCore
 // ---------------------------------------------------------------------------
 
+// One session slot per key the client ever wrote or read: its size is
+// paid per key, at the map's load factor.
+const _: () = assert!(std::mem::size_of::<(Key, CausalContext)>() == 32);
+
 /// The embeddable Sedna client ("local Sedna service").
 pub struct ClientCore {
     cfg: ClusterConfig,

@@ -854,6 +854,28 @@ impl ThreadCluster {
         }
     }
 
+    /// Blocks until every data node has swept at least twice since the
+    /// call and its last two sweeps fired nothing: the writes acked before
+    /// the call have been swept, and so have the writes their actions
+    /// emitted, so chained jobs have run out. False if 15 s pass first.
+    pub fn settle_triggers(&self) -> bool {
+        let deadline = std::time::Instant::now() + Duration::from_secs(15);
+        let start: Vec<u64> = self.telemetry.iter().map(|(_, t)| t.sweeps().0).collect();
+        let settled = || {
+            self.telemetry.iter().zip(&start).all(|((_, t), &from)| {
+                let (sweeps, quiet) = t.sweeps();
+                sweeps >= from + 2 && quiet >= 2
+            })
+        };
+        while !settled() {
+            if std::time::Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        true
+    }
+
     /// Stops the runtime and returns the actors for inspection.
     pub fn shutdown(self) -> Vec<Box<dyn Actor<Msg = SednaMsg>>> {
         self.handle.shutdown()

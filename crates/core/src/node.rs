@@ -1301,7 +1301,8 @@ impl SednaNode {
         // Dispatch even an empty sweep: it is where flow control forgets
         // firings older than each job's interval.
         let mut emits = Emits::default();
-        self.engine.dispatch(&self.store, &records, &mut emits, now);
+        let swept = self.engine.dispatch(&self.store, &records, &mut emits, now);
+        self.telemetry.note_sweep(swept.fired > 0);
         for (key, value, mode) in emits.writes {
             if let Some(ring) = &self.ring {
                 let vnode = self.cfg.partitioner.locate(&key);

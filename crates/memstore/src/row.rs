@@ -1,6 +1,6 @@
 //! Slab-allocated rows.
 //!
-//! A [`Row`] is the physical record behind one key, in one 64-byte cell:
+//! A [`Row`] is the physical record behind one key, in one 48-byte cell:
 //! the interned key and its hash, the current versions as a
 //! [`RowSnapshot`], the LRU stamp and a link to its old data. The column
 //! data itself — the pre-change snapshot of a dirty row and the monitor ids
@@ -40,10 +40,10 @@ pub(crate) struct Row {
     pub old: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<Option<Row>>() == 64);
+const _: () = assert!(std::mem::size_of::<Option<Row>>() == 48);
 
 /// Rows per slab page: one Dirty and one Monitors bit each in the page's
-/// `u64` masks. A page of cells is exactly 4 KiB.
+/// `u64` masks. A page of cells is exactly 3 KiB.
 pub(crate) const PAGE: usize = 64;
 
 const _: () = assert!(PAGE == u64::BITS as usize);

@@ -6,7 +6,7 @@
 //! and the trigger scanner's pre-change snapshot (`pending_old`) is simply
 //! whatever the row held, moved out in O(1).
 //!
-//! The snapshot is a 32-byte enum with two shapes:
+//! The snapshot is a 24-byte enum with two shapes:
 //!
 //! * [`Repr::One`] — exactly one version with an implicit clock, which is
 //!   `write_latest`'s steady state under one writer. The version sits inline,
@@ -16,7 +16,7 @@
 //!   two or more versions, or any row that carries an explicit clock, behind
 //!   an [`Arc`] so clones stay O(1).
 //!
-//! Two variants, not three, is what keeps the enum at 32 bytes: the tag
+//! Two variants, not three, is what keeps the enum at 24 bytes: the tag
 //! lives in the inline `Value`'s non-null pointer niche, and `Shared`'s one
 //! pointer sits beside it.
 //!
@@ -78,7 +78,7 @@ impl Default for Repr {
     }
 }
 
-const _: () = assert!(std::mem::size_of::<RowSnapshot>() == 32);
+const _: () = assert!(std::mem::size_of::<RowSnapshot>() == 24);
 
 /// An immutable, cheaply clonable view of a row's version list at some
 /// moment. Derefs to `[VersionedValue]`; `clone()` never deep-copies a

@@ -82,12 +82,12 @@ fn payload(n: usize) -> (Vec<Key>, Vec<Value>) {
 }
 
 #[test]
-fn snapshot_fits_forty_bytes() {
-    assert!(std::mem::size_of::<RowSnapshot>() <= 40);
+fn snapshot_is_twenty_four_bytes() {
+    assert_eq!(std::mem::size_of::<RowSnapshot>(), 24);
 }
 
 #[test]
-fn a_single_version_row_costs_at_most_84_heap_bytes() {
+fn a_single_version_row_costs_at_most_68_heap_bytes() {
     let (keys, values) = payload(ROWS);
     let store = MemStore::new(StoreConfig::default());
     let grown = heap_growth(|| {
@@ -97,12 +97,12 @@ fn a_single_version_row_costs_at_most_84_heap_bytes() {
     });
     assert_eq!(store.len(), ROWS);
     let per_row = grown as f64 / ROWS as f64;
-    // A 64-byte slab cell plus its share of the index: 80.6 B measured.
-    assert!(per_row <= 84.0, "{per_row:.1} heap bytes per row");
+    // A 48-byte slab cell plus its share of the index: 64.6 B measured.
+    assert!(per_row <= 68.0, "{per_row:.1} heap bytes per row");
 }
 
 #[test]
-fn a_one_dot_session_context_costs_at_most_70_heap_bytes() {
+fn a_one_dot_session_context_costs_at_most_57_heap_bytes() {
     let (keys, _) = payload(ROWS);
     let mut sessions: HashMap<Key, CausalContext> = HashMap::new();
     let grown = heap_growth(|| {
@@ -115,8 +115,8 @@ fn a_one_dot_session_context_costs_at_most_70_heap_bytes() {
     });
     assert_eq!(sessions.len(), ROWS);
     let per_entry = grown as f64 / ROWS as f64;
-    // The one dot sits inline: only the map's slots, 67.2 B measured.
-    assert!(per_entry <= 70.0, "{per_entry:.1} heap bytes per entry");
+    // The one dot sits inline: only the map's 32 B slots, 54.1 B measured.
+    assert!(per_entry <= 57.0, "{per_entry:.1} heap bytes per entry");
 }
 
 #[test]

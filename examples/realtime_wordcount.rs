@@ -125,6 +125,10 @@ fn main() {
     let cluster = ThreadCluster::start(ClusterConfig::small());
     cluster.register_job_everywhere(tokenize_job);
     cluster.register_job_everywhere(trending_job);
+    // A write that fails while the cluster assembles may still have landed
+    // on one replica, and each retry would fire the jobs again: wait for
+    // the cluster with a key outside the watched tables first.
+    cluster.write_latest(&Key::from("warmup"), Value::from("1"));
 
     let docs = [
         ("d1", "the quick brown fox jumps over the lazy dog"),
@@ -156,6 +160,10 @@ fn main() {
     cluster.write_latest(&key, Value::from("slow slow slow and steady"));
     let trending = wait_for(&cluster, "trending", "d3", |v| v == "slow:3");
     println!("  d3 trending is now {trending} — no batch rerun, just triggers.");
+
+    // Count only once the pipeline is idle, so the totals do not depend on
+    // when the last sweep happened to run.
+    assert!(cluster.settle_triggers(), "triggers never settled");
 
     let mut fired = 0;
     let mut filtered = 0;
